@@ -25,7 +25,7 @@ from .clifford import CliffordElement, basis_vector
 from .families import build_pair, normalize_params
 from .groups import ClassificationError, DualPairSpec
 from .howe import DimensionCapError, UnsupportedFamilyError, howe_check, invariants
-from .pin import all_commute, classify_extension, commutator_pairing
+from .pin import MAX_PATH_STEPS, all_commute, classify_extension, commutator_pairing
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -212,6 +212,9 @@ def _emit(report: dict, out: Optional[str], as_json: bool, problems: List[str]):
         click.echo(f"MISMATCH: {p}", err=True)
 
 
+# one step from theta = 0 to 2pi always closes the lift up: at least two
+STEPS = click.IntRange(2, MAX_PATH_STEPS)
+
 _common = [
     click.option("--family", required=True, help="family tag, e.g. U, Sp_R, GL_H"),
     click.option("--params", required=True, help="e.g. '(1,0),(1,1)' or '1,1'"),
@@ -219,7 +222,7 @@ _common = [
                  show_default=True,
                  help="float runs the pipeline; exact additionally spot-checks the "
                       "ambient Clifford relations in rational arithmetic"),
-    click.option("--steps", type=int, default=256, show_default=True,
+    click.option("--steps", type=STEPS, default=256, show_default=True,
                  help="path-lifting subdivisions"),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--out", type=click.Path(), default=None, help="write the JSON report here"),
@@ -298,7 +301,7 @@ def invariants_cmd(family, params, side, as_json):
 @main.command("all")
 @click.option("--backend", type=click.Choice(["exact", "float"]), default="float",
               show_default=True)
-@click.option("--steps", type=int, default=256, show_default=True)
+@click.option("--steps", type=STEPS, default=256, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
@@ -313,7 +316,7 @@ def all_cmd(backend, steps, seed, out, as_json, timings):
     _emit(report, out, as_json, problems)
     if problems:
         sys.exit(EXIT_MISMATCH)
-    click.echo(f"{len(report['pairs'])} pairs verified against the expected table")
+    click.echo(f"{len(report['pairs'])} pairs verified against the expected table", err=True)
     sys.exit(EXIT_OK)
 
 

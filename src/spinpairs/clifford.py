@@ -120,13 +120,6 @@ def blade_product(a: int, b: int, space: QuadraticSpace) -> Tuple[int, int]:
     return a ^ b, coeff
 
 
-def wedge_blades(a: int, b: int) -> Tuple[int, int]:
-    """Exterior product of basis blades; zero coefficient on intersection."""
-    if a & b:
-        return 0, 0
-    return a | b, reorder_sign(a, b)
-
-
 def _tau_sign(k: int) -> int:
     return -1 if (k * (k - 1) // 2) & 1 else 1
 

@@ -3,8 +3,9 @@
 Thirteen families: three over a complex ambient orthogonal space and ten over
 a real one.  Each builder realizes the ambient quadratic space in its
 distinguished sorted orthogonal basis, embeds both members (group and Lie
-level), and attaches component representatives and compact loop generators
-where the member groups are disconnected or non-simply-connected.
+level) through one :class:`Embedding` each, and attaches component
+representatives and compact loop generators where the member groups are
+disconnected or non-simply-connected.
 
 Ambient signatures follow the classification table:
 
@@ -25,7 +26,8 @@ Ambient signatures follow the classification table:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -181,18 +183,63 @@ def _ostar_uloop(n: int, theta: float) -> np.ndarray:
 # builder scaffolding
 # ---------------------------------------------------------------------------
 
-def _validated_side(space, name, embed_group, embed_lie, lie_native, comp_native, loops):
-    lie = [embed_lie(X) for X in lie_native]
-    for L in lie:
+@dataclass(frozen=True)
+class Embedding:
+    """One member's embedding x -> left @ model(x) @ right into O(E, b).
+
+    ``model`` realizes a native element (a matrix, or a quaternionic pair
+    (A, B) meaning A + jB) on a tensor model of E, and ``left``/``right``
+    change to the sorted orthogonal basis of ``space``.  With ``dual`` the
+    model space is E1 + E1^*, the group acting on the dual factor by inverse
+    transpose and the Lie algebra by minus transpose.  With ``realify`` the
+    complex result is realified; otherwise a real ``space`` keeps the real
+    part, which must vanish in imaginary part.
+    """
+
+    space: QuadraticSpace
+    model: Callable[[np.ndarray], np.ndarray]
+    left: np.ndarray
+    right: np.ndarray
+    dual: bool = False
+    realify: bool = False
+
+    def matrix(self, x, lie: bool = False) -> np.ndarray:
+        if isinstance(x, tuple):
+            x = realify_quaternionic(*x)
+        M = self.model(x)
+        if self.dual:
+            Z = np.zeros(M.shape)
+            M = np.block([[M, Z], [Z, -M.T if lie else np.linalg.inv(M).T]])
+        M = self.left @ M @ self.right
+        if self.realify:
+            return realify_complex_matrix(M)
+        if self.space.field_kind == "real":
+            if np.abs(M.imag).max() > 1e-8:
+                raise RuntimeError("embedded map does not preserve the real form")
+            return M.real
+        return M
+
+    def group(self, g) -> OrthogonalMap:
+        return OrthogonalMap(self.space, self.matrix(g))
+
+    def lie(self, X) -> LieElement:
+        return LieElement(self.space, self.matrix(X, lie=True))
+
+
+def _side(embedding: Embedding, name: str, lie, comps, loops) -> SideSpec:
+    """Embed one member's native Lie basis, component reps and (name, theta -> g) loops."""
+    lie_gens = [embedding.lie(X) for X in lie]
+    for L in lie_gens:
         if not L.is_b_antisymmetric(BUILD_TOL):
             raise RuntimeError(f"{name}: embedded Lie generator is not b-antisymmetric")
-    comps = []
-    for cname, g in comp_native:
-        om = embed_group(g)
+    reps = []
+    for cname, g in comps:
+        om = embedding.group(g)
         if not om.is_isometry(BUILD_TOL):
             raise RuntimeError(f"{name}: component representative is not an isometry")
-        comps.append(ComponentRep(cname, om))
-    return SideSpec(name, space, lie, comps, loops, embed_group, embed_lie)
+        reps.append(ComponentRep(cname, om))
+    embedded_loops = [LoopGenerator(n, lambda t, f=f: embedding.group(f(t))) for n, f in loops]
+    return SideSpec(name, embedding.space, lie_gens, reps, embedded_loops, embedding.group)
 
 
 def _check_signature(space: QuadraticSpace, expected: Tuple[int, int], family: str):
@@ -214,10 +261,19 @@ def _int_params(params) -> Tuple[int, int]:
     return int(n1), int(n2)
 
 
-def _kron_sides(d1: int, d2: int):
-    """Side embeddings g -> g ox I and g -> I ox g at matrix level."""
-    return (lambda g: np.kron(np.asarray(g, dtype=complex), np.eye(d2)),
-            lambda g: np.kron(np.eye(d1), np.asarray(g, dtype=complex)))
+def _kron_sides(d1: int, d2: int, dtype=complex):
+    """Side models g -> g ox I and g -> I ox g at matrix level."""
+    return (lambda g: np.kron(np.asarray(g, dtype=dtype), np.eye(d2)),
+            lambda g: np.kron(np.eye(d1), np.asarray(g, dtype=dtype)))
+
+
+def _reflection(n: int, slot: int = 0, dtype=float) -> np.ndarray:
+    return np.diag([-1.0 if k == slot else 1.0 for k in range(n)]).astype(dtype)
+
+
+def _complex_structure(side: SideSpec, n: int) -> np.ndarray:
+    """Multiplication by i on E: the G-embedding of i * I_n."""
+    return side.embed_group(1j * np.eye(n)).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +291,13 @@ def build_O_real(params) -> DualPairSpec:
     _check_signature(space, (p1 * p2 + q1 * q2, p1 * q2 + q1 * p2), "O_real")
     kG, kGp = _kron_sides(d1, d2)
 
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, (P.T @ side_k(g) @ P).real)
-
-        def embed_lie(X):
-            return LieElement(space, (P.T @ side_k(X) @ P).real)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-
-    def comps(p, q, d):
-        out = []
-        if p >= 1:
-            out.append(("r+", np.diag([-1.0 if k == 0 else 1.0 for k in range(d)])))
+    def side(k, p, q, eps):
+        comps = [("r+", _reflection(p + q, 0))] if p >= 1 else []
         if q >= 1:
-            out.append(("r-", np.diag([-1.0 if k == p else 1.0 for k in range(d)])))
-        return out
+            comps.append(("r-", _reflection(p + q, p)))
+        return _side(Embedding(space, k, P.T, P), f"O({p},{q})", so_pq_basis(eps), comps, [])
 
-    G = _validated_side(space, f"O({p1},{q1})", egG, elG, so_pq_basis(eps1), comps(p1, q1, d1), [])
-    Gp = _validated_side(space, f"O({p2},{q2})", egGp, elGp, so_pq_basis(eps2), comps(p2, q2, d2), [])
-    return DualPairSpec("O_real", params, space, G, Gp)
+    return DualPairSpec("O_real", params, space, side(kG, p1, q1, eps1), side(kGp, p2, q2, eps2))
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +317,18 @@ def build_U(params) -> DualPairSpec:
     _check_signature(space, (2 * (p1 * p2 + q1 * q2), 2 * (p1 * q2 + q1 * p2)), "U")
     kG, kGp = _kron_sides(d1, d2)
 
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, P.T @ realify_complex_matrix(side_k(g)) @ P)
-
-        def embed_lie(X):
-            return LieElement(space, P.T @ realify_complex_matrix(side_k(X)) @ P)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-
-    def loops(eg, p, q, d, tag):
+    def side(k, p, q, tag):
         # one loop per compact unitary factor: U(p) at the first +slot,
         # U(q) at the first -slot
-        out = [LoopGenerator(f"U({p})[{tag}+]",
-                             lambda t, eg=eg, d=d: eg(_u1_at(d, 0, t)))]
+        loops = [(f"U({p})[{tag}+]", lambda t: _u1_at(p + q, 0, t))]
         if q >= 1:
-            out.append(LoopGenerator(f"U({q})[{tag}-]",
-                                     lambda t, eg=eg, d=d, p=p: eg(_u1_at(d, p, t))))
-        return out
+            loops.append((f"U({q})[{tag}-]", lambda t: _u1_at(p + q, p, t)))
+        emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), P.T, P)
+        return _side(emb, f"U({p},{q})", u_pq_basis(p, q), [], loops)
 
-    G = _validated_side(space, f"U({p1},{q1})", egG, elG, u_pq_basis(p1, q1), [],
-                        loops(egG, p1, q1, d1, "G"))
-    Gp = _validated_side(space, f"U({p2},{q2})", egGp, elGp, u_pq_basis(p2, q2), [],
-                         loops(egGp, p2, q2, d2, "G'"))
-    J = egG(1j * np.eye(d1)).matrix
-    return DualPairSpec("U", params, space, G, Gp, complex_structure=J)
+    G = side(kG, p1, q1, "G")
+    return DualPairSpec("U", params, space, G, side(kGp, p2, q2, "G'"),
+                        complex_structure=_complex_structure(G, d1))
 
 
 # ---------------------------------------------------------------------------
@@ -324,94 +348,84 @@ def build_Sp_R(params) -> DualPairSpec:
     _check_signature(space, (2 * n1 * n2, 2 * n1 * n2), "Sp_R")
     kG, kGp = _kron_sides(2 * n1, 2 * n2)
 
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, (Pinv @ side_k(g) @ P).real)
+    def side(k, n, tag):
+        return _side(Embedding(space, k, Pinv, P), f"Sp({2*n},R)",
+                     [M.real for M in sp_2n_basis(n, real_form=False)], [],
+                     [(f"U({n})[{tag}]", lambda t: _sp_real_uloop(n, t))])
 
-        def embed_lie(X):
-            return LieElement(space, (Pinv @ side_k(X) @ P).real)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-    G = _validated_side(space, f"Sp({2*n1},R)", egG, elG,
-                        [M.real for M in sp_2n_basis(n1, real_form=False)], [],
-                        [LoopGenerator(f"U({n1})[G]", lambda t: egG(_sp_real_uloop(n1, t)))])
-    Gp = _validated_side(space, f"Sp({2*n2},R)", egGp, elGp,
-                         [M.real for M in sp_2n_basis(n2, real_form=False)], [],
-                         [LoopGenerator(f"U({n2})[G']", lambda t: egGp(_sp_real_uloop(n2, t)))])
-    return DualPairSpec("Sp_R", params, space, G, Gp)
+    return DualPairSpec("Sp_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 # ---------------------------------------------------------------------------
-# complex orthogonal / symplectic pairs realified
+# complex orthogonal / symplectic pairs, over C or realified
 # ---------------------------------------------------------------------------
 
-def build_O_C_real(params) -> DualPairSpec:
+def _build_O_C(params, real: bool) -> DualPairSpec:
     n1, n2 = _int_params(params)
     if n1 < 2 or n2 < 2:
         raise ClassificationError("O(n,C) pairs require n1, n2 >= 2")
     Pkl = tensor_kl_permutation(n1, n2)
-    space = real_space(n1 * n2, n1 * n2)
+    space = real_space(n1 * n2, n1 * n2) if real else complex_space(n1 * n2)
     kG, kGp = _kron_sides(n1, n2)
 
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, realify_complex_matrix(Pkl @ side_k(g) @ Pkl.T))
+    def side(k, n, tag):
+        return _side(Embedding(space, k, Pkl, Pkl.T, realify=real), f"O({n},C)",
+                     so_n_complex_basis(n, real), [("r", _reflection(n, dtype=complex))],
+                     [(f"SO({n})[{tag}]", lambda t: _rot(n, t))])
 
-        def embed_lie(X):
-            return LieElement(space, realify_complex_matrix(Pkl @ side_k(X) @ Pkl.T))
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-
-    def refl(n):
-        return [("r", np.diag([-1.0 if k == 0 else 1.0 for k in range(n)]).astype(complex))]
-
-    G = _validated_side(space, f"O({n1},C)", egG, elG, so_n_complex_basis(n1, True), refl(n1),
-                        [LoopGenerator(f"SO({n1})[G]", lambda t: egG(_rot(n1, t)))])
-    Gp = _validated_side(space, f"O({n2},C)", egGp, elGp, so_n_complex_basis(n2, True), refl(n2),
-                         [LoopGenerator(f"SO({n2})[G']", lambda t: egGp(_rot(n2, t)))])
-    J = egG(1j * np.eye(n1)).matrix
-    return DualPairSpec("O_C_real", params, space, G, Gp, complex_structure=J)
+    G = side(kG, n1, "G")
+    return DualPairSpec("O_C_real" if real else "O_C", params, space, G, side(kGp, n2, "G'"),
+                        complex_structure=_complex_structure(G, n1) if real else None)
 
 
-def build_Sp_C_real(params) -> DualPairSpec:
+def _build_Sp_C(params, real: bool) -> DualPairSpec:
     n1, n2 = _int_params(params)
     gram = np.kron(_omega(n1), _omega(n2)).astype(complex)
     Pc = complex_orthonormalize(gram)
     Pcinv = np.linalg.inv(Pc)
-    space = real_space(4 * n1 * n2, 4 * n1 * n2)
+    space = real_space(4 * n1 * n2, 4 * n1 * n2) if real else complex_space(4 * n1 * n2)
     kG, kGp = _kron_sides(2 * n1, 2 * n2)
 
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, realify_complex_matrix(Pcinv @ side_k(g) @ Pc))
+    def side(k, n):
+        return _side(Embedding(space, k, Pcinv, Pc, realify=real), f"Sp({2*n},C)",
+                     sp_2n_basis(n, real), [], [])
 
-        def embed_lie(X):
-            return LieElement(space, realify_complex_matrix(Pcinv @ side_k(X) @ Pc))
+    G = side(kG, n1)
+    return DualPairSpec("Sp_C_real" if real else "Sp_C", params, space, G, side(kGp, n2),
+                        complex_structure=_complex_structure(G, 2 * n1) if real else None)
 
-        return embed_group, embed_lie
 
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-    G = _validated_side(space, f"Sp({2*n1},C)", egG, elG, sp_2n_basis(n1, True), [], [])
-    Gp = _validated_side(space, f"Sp({2*n2},C)", egGp, elGp, sp_2n_basis(n2, True), [], [])
-    J = egG(1j * np.eye(2 * n1)).matrix
-    return DualPairSpec("Sp_C_real", params, space, G, Gp, complex_structure=J)
+def build_O_C_real(params) -> DualPairSpec:
+    return _build_O_C(params, real=True)
+
+
+def build_O_C(params) -> DualPairSpec:
+    return _build_O_C(params, real=False)
+
+
+def build_Sp_C_real(params) -> DualPairSpec:
+    return _build_Sp_C(params, real=True)
+
+
+def build_Sp_C(params) -> DualPairSpec:
+    return _build_Sp_C(params, real=False)
 
 
 # ---------------------------------------------------------------------------
 # quaternionic pairs
 # ---------------------------------------------------------------------------
 
+def _fixed_models(J1: np.ndarray, J2: np.ndarray):
+    """Basis R of Fix(J1 ox J2 . conj) and both side models restricted to it."""
+    R = fixed_real_basis(J1, J2)
+    kG, kGp = _kron_sides(J1.shape[0], J2.shape[0])
+    return R, (lambda X: R.conj().T @ kG(X) @ R), (lambda X: R.conj().T @ kGp(X) @ R)
+
+
 def _quat_tensor_spec(family: str, params, K1, K2, J1, J2, expected_sig,
                       name1, name2, lie1, lie2, loops1, loops2) -> DualPairSpec:
     """Shared machinery: restrict kron actions to Fix(J1 ox J2 . conj)."""
-    R = fixed_real_basis(J1, J2)
+    R, mG, mGp = _fixed_models(J1, J2)
     gram_c = R.T @ np.kron(K1, K2) @ R
     if np.abs(gram_c.imag).max() > 1e-10:
         raise RuntimeError(f"{family}: tensor form is not real on the fixed subspace")
@@ -419,34 +433,8 @@ def _quat_tensor_spec(family: str, params, K1, K2, J1, J2, expected_sig,
     Pinv = np.linalg.inv(P)
     space = QuadraticSpace("real", norms)
     _check_signature(space, expected_sig, family)
-    d1, d2 = J1.shape[0], J2.shape[0]
-    kG, kGp = _kron_sides(d1, d2)
-
-    def mk(side_k):
-        def to_fixed(Xc):
-            M = R.conj().T @ side_k(Xc) @ R
-            if np.abs(M.imag).max() > 1e-8:
-                raise RuntimeError(f"{family}: embedded map does not preserve the real form")
-            return M.real
-
-        def embed_group(g):
-            if isinstance(g, tuple):
-                g = realify_quaternionic(*g)
-            return OrthogonalMap(space, Pinv @ to_fixed(g) @ P)
-
-        def embed_lie(X):
-            if isinstance(X, tuple):
-                X = realify_quaternionic(*X)
-            return LieElement(space, Pinv @ to_fixed(X) @ P)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-    G = _validated_side(space, name1, egG, elG, lie1, [],
-                        [LoopGenerator(n, lambda t, f=f: egG(f(t))) for n, f in loops1])
-    Gp = _validated_side(space, name2, egGp, elGp, lie2, [],
-                         [LoopGenerator(n, lambda t, f=f: egGp(f(t))) for n, f in loops2])
+    G = _side(Embedding(space, mG, Pinv, P), name1, lie1, [], loops1)
+    Gp = _side(Embedding(space, mGp, Pinv, P), name2, lie2, [], loops2)
     return DualPairSpec(family, params, space, G, Gp)
 
 
@@ -486,7 +474,7 @@ def build_O_star(params) -> DualPairSpec:
 
 
 # ---------------------------------------------------------------------------
-# type-II general linear pairs
+# type-II general linear pairs: E = E1 + E1^* with split form
 # ---------------------------------------------------------------------------
 
 def _split_frame(d: int) -> np.ndarray:
@@ -495,107 +483,41 @@ def _split_frame(d: int) -> np.ndarray:
     return np.block([[I, I], [I, -I]]) / np.sqrt(2.0)
 
 
-def _type2_spec(family: str, params, d: int, inner_G, inner_Gp, name1, name2,
-                lie1, lie2, comps1, comps2, loops1, loops2,
-                inner_J: Optional[np.ndarray] = None) -> DualPairSpec:
-    """E = E1 + E1^* with split form, re-expressed in the b_+- basis.
-
-    inner_* map native elements to real d x d matrices on E1; the group acts
-    on the dual factor by inverse transpose, the Lie algebra by minus
-    transpose.
-    """
-    Pb = _split_frame(d)
-    space = real_space(d, d)
-
-    def mk(inner):
-        def embed_group(g):
-            Rm = inner(g)
-            M = np.block([[Rm, np.zeros((d, d))],
-                          [np.zeros((d, d)), np.linalg.inv(Rm).T]])
-            return OrthogonalMap(space, Pb @ M @ Pb)
-
-        def embed_lie(X):
-            Rm = inner(X)
-            M = np.block([[Rm, np.zeros((d, d))], [np.zeros((d, d)), -Rm.T]])
-            return LieElement(space, Pb @ M @ Pb)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(inner_G)
-    egGp, elGp = mk(inner_Gp)
-    G = _validated_side(space, name1, egG, elG, lie1, comps1,
-                        [LoopGenerator(n, lambda t, f=f: egG(f(t))) for n, f in loops1])
-    Gp = _validated_side(space, name2, egGp, elGp, lie2, comps2,
-                         [LoopGenerator(n, lambda t, f=f: egGp(f(t))) for n, f in loops2])
-    J = None
-    if inner_J is not None:
-        J = Pb @ np.block([[inner_J, np.zeros((d, d))],
-                           [np.zeros((d, d)), np.linalg.inv(inner_J).T]]) @ Pb
-    return DualPairSpec(family, params, space, G, Gp, complex_structure=J)
-
-
 def build_GL_R(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    d = n1 * n2
+    Pb = _split_frame(n1 * n2)
+    space = real_space(n1 * n2, n1 * n2)
+    kG, kGp = _kron_sides(n1, n2, dtype=float)
 
-    def innerG(A):
-        return np.kron(np.asarray(A, dtype=float), np.eye(n2))
+    def side(k, n, tag):
+        loops = [(f"SO({n})[{tag}]", lambda t: _rot(n, t))] if n >= 2 else []
+        return _side(Embedding(space, k, Pb, Pb, dual=True), f"GL({n},R)",
+                     [M.real for M in gl_real_basis(n)], [("s", _reflection(n))], loops)
 
-    def innerGp(A):
-        return np.kron(np.eye(n1), np.asarray(A, dtype=float))
-
-    def comps(n):
-        return [("s", np.diag([-1.0 if k == 0 else 1.0 for k in range(n)]))]
-
-    def loops(n, tag):
-        if n < 2:
-            return []
-        return [(f"SO({n})[{tag}]", lambda t, n=n: _rot(n, t))]
-
-    return _type2_spec("GL_R", params, d, innerG, innerGp,
-                       f"GL({n1},R)", f"GL({n2},R)",
-                       [M.real for M in gl_real_basis(n1)],
-                       [M.real for M in gl_real_basis(n2)],
-                       comps(n1), comps(n2), loops(n1, "G"), loops(n2, "G'"))
+    return DualPairSpec("GL_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 def build_GL_C(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    d = 2 * n1 * n2
+    Pb = _split_frame(2 * n1 * n2)
+    space = real_space(2 * n1 * n2, 2 * n1 * n2)
+    kG, kGp = _kron_sides(n1, n2)
 
-    def innerG(A):
-        return realify_complex_matrix(np.kron(np.asarray(A, dtype=complex), np.eye(n2)))
+    def side(k, n, tag):
+        emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), Pb, Pb, dual=True)
+        return _side(emb, f"GL({n},C)", gl_complex_basis(n, True), [],
+                     [(f"U({n})[{tag}]", lambda t: _u1_at(n, 0, t))])
 
-    def innerGp(A):
-        return realify_complex_matrix(np.kron(np.eye(n1), np.asarray(A, dtype=complex)))
-
-    def loops(n, tag):
-        return [(f"U({n})[{tag}]", lambda t, n=n: _u1_at(n, 0, t))]
-
-    return _type2_spec("GL_C", params, d, innerG, innerGp,
-                       f"GL({n1},C)", f"GL({n2},C)",
-                       gl_complex_basis(n1, True), gl_complex_basis(n2, True),
-                       [], [], loops(n1, "G"), loops(n2, "G'"),
-                       inner_J=innerG(1j * np.eye(n1)))
+    G = side(kG, n1, "G")
+    return DualPairSpec("GL_C", params, space, G, side(kGp, n2, "G'"),
+                        complex_structure=_complex_structure(G, n1))
 
 
 def build_GL_H(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    J1, J2 = quaternion_J(n1), quaternion_J(n2)
-    R = fixed_real_basis(J1, J2)
-    d = 4 * n1 * n2
-
-    def mk_inner(side):
-        def inner(X):
-            if isinstance(X, tuple):
-                X = realify_quaternionic(*X)
-            K = np.kron(X, np.eye(2 * n2)) if side == 0 else np.kron(np.eye(2 * n1), X)
-            M = R.conj().T @ K @ R
-            if np.abs(M.imag).max() > 1e-8:
-                raise RuntimeError("GL_H: map does not preserve the real tensor subspace")
-            return M.real
-
-        return inner
+    _, mG, mGp = _fixed_models(quaternion_J(n1), quaternion_J(n2))
+    Pb = _split_frame(4 * n1 * n2)
+    space = real_space(4 * n1 * n2, 4 * n1 * n2)
 
     def quat_gl_basis(n):
         z = np.zeros((n, n), dtype=complex)
@@ -608,104 +530,26 @@ def build_GL_H(params) -> DualPairSpec:
                 out.append((z, _E(n, a, b, 1j)))
         return out
 
-    return _type2_spec("GL_H", params, d, mk_inner(0), mk_inner(1),
-                       f"GL({n1},H)", f"GL({n2},H)",
-                       quat_gl_basis(n1), quat_gl_basis(n2), [], [], [], [])
+    def side(m, n):
+        return _side(Embedding(space, m, Pb, Pb, dual=True), f"GL({n},H)", quat_gl_basis(n), [], [])
 
-
-# ---------------------------------------------------------------------------
-# complex-ambient families
-# ---------------------------------------------------------------------------
-
-def build_O_C(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
-    if n1 < 2 or n2 < 2:
-        raise ClassificationError("O(n,C) pairs require n1, n2 >= 2")
-    Pkl = tensor_kl_permutation(n1, n2)
-    space = complex_space(n1 * n2)
-    kG, kGp = _kron_sides(n1, n2)
-
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, Pkl @ side_k(g) @ Pkl.T)
-
-        def embed_lie(X):
-            return LieElement(space, Pkl @ side_k(X) @ Pkl.T)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-
-    def refl(n):
-        return [("r", np.diag([-1.0 if k == 0 else 1.0 for k in range(n)]).astype(complex))]
-
-    G = _validated_side(space, f"O({n1},C)", egG, elG, so_n_complex_basis(n1, False), refl(n1),
-                        [LoopGenerator(f"SO({n1})[G]", lambda t: egG(_rot(n1, t)))])
-    Gp = _validated_side(space, f"O({n2},C)", egGp, elGp, so_n_complex_basis(n2, False), refl(n2),
-                         [LoopGenerator(f"SO({n2})[G']", lambda t: egGp(_rot(n2, t)))])
-    return DualPairSpec("O_C", params, space, G, Gp)
-
-
-def build_Sp_C(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
-    gram = np.kron(_omega(n1), _omega(n2)).astype(complex)
-    Pc = complex_orthonormalize(gram)
-    Pcinv = np.linalg.inv(Pc)
-    space = complex_space(4 * n1 * n2)
-    kG, kGp = _kron_sides(2 * n1, 2 * n2)
-
-    def mk(side_k):
-        def embed_group(g):
-            return OrthogonalMap(space, Pcinv @ side_k(g) @ Pc)
-
-        def embed_lie(X):
-            return LieElement(space, Pcinv @ side_k(X) @ Pc)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-    G = _validated_side(space, f"Sp({2*n1},C)", egG, elG, sp_2n_basis(n1, False), [], [])
-    Gp = _validated_side(space, f"Sp({2*n2},C)", egGp, elGp, sp_2n_basis(n2, False), [], [])
-    return DualPairSpec("Sp_C", params, space, G, Gp)
+    return DualPairSpec("GL_H", params, space, side(mG, n1), side(mGp, n2))
 
 
 def build_GL_C_complex(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    d = n1 * n2
-    I = np.eye(d)
+    I = np.eye(n1 * n2)
     # complex split basis: (e + e*)/sqrt2 and i(e - e*)/sqrt2, both of norm +1
     Pc = np.block([[I, 1j * I], [I, -1j * I]]) / np.sqrt(2.0)
-    Pcinv = Pc.conj().T
-    space = complex_space(2 * d)
+    space = complex_space(2 * n1 * n2)
     kG, kGp = _kron_sides(n1, n2)
 
-    def mk(side_k):
-        def embed_group(g):
-            Rm = side_k(g)
-            M = np.block([[Rm, np.zeros((d, d))],
-                          [np.zeros((d, d)), np.linalg.inv(Rm).T]])
-            return OrthogonalMap(space, Pcinv @ M @ Pc)
+    def side(k, n, tag):
+        return _side(Embedding(space, k, Pc.conj().T, Pc, dual=True), f"GL({n},C)",
+                     gl_complex_basis(n, False), [],
+                     [(f"U({n})[{tag}]", lambda t: _u1_at(n, 0, t))])
 
-        def embed_lie(X):
-            Rm = side_k(X)
-            M = np.block([[Rm, np.zeros((d, d))], [np.zeros((d, d)), -Rm.T]])
-            return LieElement(space, Pcinv @ M @ Pc)
-
-        return embed_group, embed_lie
-
-    egG, elG = mk(kG)
-    egGp, elGp = mk(kGp)
-
-    def loops(eg, n, tag):
-        return [LoopGenerator(f"U({n})[{tag}]", lambda t, eg=eg, n=n: eg(_u1_at(n, 0, t)))]
-
-    G = _validated_side(space, f"GL({n1},C)", egG, elG, gl_complex_basis(n1, False), [],
-                        loops(egG, n1, "G"))
-    Gp = _validated_side(space, f"GL({n2},C)", egGp, elGp, gl_complex_basis(n2, False), [],
-                         loops(egGp, n2, "G'"))
-    return DualPairSpec("GL_C_complex", params, space, G, Gp)
+    return DualPairSpec("GL_C_complex", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 # ---------------------------------------------------------------------------

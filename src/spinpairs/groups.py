@@ -44,10 +44,6 @@ class OrthogonalMap:
         B = self.gram()
         return bool(np.allclose(self.matrix.T @ B @ self.matrix, B, atol=tol))
 
-    def det_sign(self) -> int:
-        d = np.linalg.det(self.matrix)
-        return 1 if d.real > 0 else -1
-
     def compose(self, other: "OrthogonalMap") -> "OrthogonalMap":
         if self.space != other.space:
             raise ValueError("space mismatch")
@@ -94,7 +90,6 @@ class SideSpec:
     component_reps: List[ComponentRep]
     loops: List[LoopGenerator]
     embed_group: Callable[..., OrthogonalMap]
-    embed_lie: Callable[..., LieElement]
 
     def random_element(self, rng: np.random.Generator, scale: float = 0.5) -> OrthogonalMap:
         """Product of a random Lie exponential and a random subset of component reps."""
@@ -363,6 +358,12 @@ class ComplexifiedPair:
     comps_G: List[Tuple[str, np.ndarray]]
     comps_Gp: List[Tuple[str, np.ndarray]]
     complex_structure: Optional[np.ndarray] = None
+
+    def side(self, which: str) -> Tuple[List[np.ndarray], List[Tuple[str, np.ndarray]]]:
+        """Complexified Lie generators and component reps of one member."""
+        if self.spec.side(which) is self.spec.G:
+            return self.lie_G, self.comps_G
+        return self.lie_Gp, self.comps_Gp
 
 
 def complexify(spec: DualPairSpec) -> ComplexifiedPair:

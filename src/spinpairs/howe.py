@@ -224,11 +224,8 @@ def invariants(spec: DualPairSpec, side: str,
                cpx: Optional[ComplexifiedPair] = None) -> InvariantSpace:
     """Graded invariants of the complexified exterior algebra under one member."""
     cpx = cpx or complexify(spec)
-    if side in ("G", "g", "left", "0"):
-        lie, comps = cpx.lie_G, [g for _, g in cpx.comps_G]
-    else:
-        lie, comps = cpx.lie_Gp, [g for _, g in cpx.comps_Gp]
-    return invariant_space(cpx.space_c, lie, comps)
+    lie, comps = cpx.side(side)
+    return invariant_space(cpx.space_c, lie, [g for _, g in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +362,6 @@ class SpModel:
                     acc = acc + (ek_a ^ fk_b) - (fk_a ^ ek_b)
                 out.append(acc)
         return out
-
-
-def generator_elements(model) -> List[ExteriorElement]:
-    return model.generators()
 
 
 def _element_in_span(w: ExteriorElement, basis: np.ndarray, blades: List[int],
@@ -525,12 +518,9 @@ class HoweReport:
 def side_operators(spec: DualPairSpec, sp: SpinorSpace, cpx: ComplexifiedPair,
                    side: str) -> List[np.ndarray]:
     """Generating operators of <G~>: dPi of Lie generators plus Pi of lifted reps."""
-    if side in ("G", "g", "left", "0"):
-        lie, reps = cpx.lie_G, spec.G.component_reps
-    else:
-        lie, reps = cpx.lie_Gp, spec.Gp.component_reps
+    lie, _ = cpx.side(side)
     ops = [d_pi(sp, X) for X in lie]
-    ops += [pi_rep(sp, lift(rep.map)) for rep in reps]
+    ops += [pi_rep(sp, lift(rep.map)) for rep in spec.side(side).component_reps]
     return ops
 
 

@@ -274,8 +274,12 @@ def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
     +1 means the double cover restricted to this loop is disconnected
     (trivial over the loop); -1 means the preimage is a connected double
     cover.  Steps auto-refine when consecutive lifts sit nearly equidistant
-    from both preimages.
+    from both preimages.  A single step (or none) cannot see a flip, so
+    ``steps`` must be at least 2, and at most ``max_steps``.
     """
+    if not 2 <= steps <= max_steps:
+        raise ValueError(f"loop {loop.name}: path lifting needs 2 <= steps <= {max_steps}, "
+                         f"got {steps}")
     n = steps
     while n <= max_steps:
         try:

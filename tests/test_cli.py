@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from spinpairs import cli
 from spinpairs.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, RunConfig,
                            compare_with_expected, load_expected_table, main, run)
 
@@ -116,3 +117,24 @@ def test_mismatch_detection():
     report["pairs"][0]["commute_all_plus"] = False
     problems = compare_with_expected(report)
     assert problems and "commutation verdict" in problems[0]
+
+
+@pytest.mark.parametrize("steps", ["1", "0", "-5"])
+def test_cli_rejects_too_few_path_steps(steps):
+    # one step from 0 to 2pi always closes up and would report Trivial
+    runner = CliRunner()
+    for cmd in (["classify-cover", "--family", "U", "--params", "(1,0),(2,0)"], ["all"]):
+        res = runner.invoke(main, cmd + ["--steps", steps])
+        assert res.exit_code == EXIT_CONFIG
+        assert "--steps" in res.output
+
+
+def test_cli_all_json_stdout_is_json(monkeypatch):
+    table = load_expected_table()
+    key = ("U", json.dumps([[1, 0], [1, 0]]))
+    monkeypatch.setattr(cli, "load_expected_table", lambda: {key: table[key]})
+    res = CliRunner().invoke(main, ["all", "--json"])
+    assert res.exit_code == EXIT_OK
+    report = json.loads(res.stdout)
+    assert [r["family"] for r in report["pairs"]] == ["U"]
+    assert "1 pairs verified" in res.stderr

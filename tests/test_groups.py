@@ -295,3 +295,39 @@ def test_spec_serialization_roundtrip():
     blob = spec.to_json()
     spec2 = build_pair(blob["family"], blob["params"])
     assert spec2.space == spec.space
+
+
+# --- group / Lie consistency of the embeddings --------------------------------
+
+LOOPS = [(family, which, i)
+         for family, params in sorted(MINIMAL_PARAMS.items())
+         for which in ("G", "Gp")
+         for i in range(len(build_pair(family, params).side(which).loops))]
+
+
+def test_minimal_families_carry_fourteen_loops():
+    assert len(LOOPS) == 14
+
+
+@pytest.mark.parametrize("family,which,index", LOOPS)
+def test_loop_is_one_parameter_subgroup_tangent_to_lie_span(family, which, index):
+    spec = build_pair(family, MINIMAL_PARAMS[family])
+    side = spec.side(which)
+    loop = side.loops[index]
+    for s, t in ((0.3, 1.1), (2.0, 2.5), (np.pi, np.pi)):
+        assert np.abs(loop.at(s).matrix @ loop.at(t).matrix
+                      - loop.at(s + t).matrix).max() < 1e-9
+    assert np.abs(loop.at(2 * np.pi).matrix - np.eye(spec.space.dim)).max() < 1e-9
+    # the tangent at 0 lies in the span of the Lie generators over the ambient
+    # field (a complex ambient carries a complex basis of the member's algebra)
+    h = 1e-4
+    tangent = np.asarray((loop.at(h).matrix - loop.at(-h).matrix) / (2 * h), dtype=complex)
+    gens = [np.asarray(L.matrix, dtype=complex).ravel() for L in side.lie_generators]
+    if spec.is_complex_ambient:
+        gens += [1j * g for g in gens]
+    A = np.array(gens).T
+    A = np.vstack([A.real, A.imag])
+    v = np.concatenate([tangent.ravel().real, tangent.ravel().imag])
+    coeffs, *_ = np.linalg.lstsq(A, v, rcond=None)
+    assert np.linalg.norm(v) > 0.5
+    assert np.linalg.norm(v - A @ coeffs) < 1e-9 * np.linalg.norm(v)

@@ -307,3 +307,16 @@ def test_howe_scope_guards():
 def test_joint_commutant_commutativity_detection():
     assert is_commutative([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
     assert not is_commutative([np.array([[0.0, 1], [0, 0]]), np.array([[0.0, 0], [1, 0]])])
+
+
+def test_unknown_side_name_rejected():
+    # any name outside the aliases of G and G' is an error, not G'
+    spec = build_pair("GL_R", (1, 2))
+    cpx = complexify(spec)
+    for bad in ("H", "Gprime", ""):
+        with pytest.raises(ValueError):
+            invariants(spec, bad, cpx)
+        with pytest.raises(ValueError):
+            side_operators(spec, build_spinors(cpx.space_c), cpx, bad)
+    assert invariants(spec, "left", cpx).dims == invariants(spec, "G", cpx).dims
+    assert invariants(spec, "G'", cpx).dims == invariants(spec, "Gp", cpx).dims

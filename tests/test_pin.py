@@ -7,8 +7,8 @@ from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, b
                                 exterior_vector, chevalley_T, real_space, scalar_element)
 from spinpairs.families import build_pair
 from spinpairs.groups import LoopGenerator, OrthogonalMap
-from spinpairs.pin import (NotPinError, PinElement, all_commute, canonical_sign,
-                           classify_extension, cocycle, commutator_pairing,
+from spinpairs.pin import (MAX_PATH_STEPS, NotPinError, PinElement, all_commute,
+                           canonical_sign, classify_extension, cocycle, commutator_pairing,
                            commutator_sign, label_from_loop_signs, lift, loop_lift_sign,
                            pin_element, project, section)
 
@@ -435,3 +435,10 @@ def test_chevalley_intertwines_pin_actions():
             lhs = chevalley_T(exterior_apply_map(project(c).matrix, wext))
             rhs = c.value * w * c.inverse_value()
             assert lhs.isclose(rhs, 1e-9)
+
+
+def test_loop_lift_sign_rejects_out_of_range_steps():
+    loop = build_pair("U", ((1, 0), (1, 0))).G.loops[0]
+    for steps in (1, 0, -5, MAX_PATH_STEPS + 1):
+        with pytest.raises(ValueError):
+            loop_lift_sign(loop, steps=steps)
