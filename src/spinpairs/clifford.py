@@ -15,9 +15,11 @@ is normalized to ``e_i^2 = norms[i]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .scalars import QI
 
@@ -51,6 +53,7 @@ class QuadraticSpace:
 
     field_kind: str  # "real" | "complex"
     norms: Tuple[int, ...]
+    negative_mask: int = field(init=False, repr=False, compare=False)  # generators of norm -1
 
     def __post_init__(self):
         if self.field_kind not in ("real", "complex"):
@@ -61,6 +64,7 @@ class QuadraticSpace:
             raise ValueError("every basis norm must be +1 or -1")
         if self.field_kind == "complex" and any(n != 1 for n in self.norms):
             raise ValueError("complex spaces carry the standard form: all norms +1")
+        object.__setattr__(self, "negative_mask", sum(1 << i for i, n in enumerate(self.norms) if n < 0))
 
     @property
     def dim(self) -> int:
@@ -92,7 +96,7 @@ def direct_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> QuadraticSpace:
 # ---------------------------------------------------------------------------
 
 def grade(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def reorder_sign(a: int, b: int) -> int:
@@ -103,21 +107,22 @@ def reorder_sign(a: int, b: int) -> int:
     """
     total = 0
     while b:
-        j = (b & -b).bit_length() - 1
-        total += grade(a >> (j + 1))
-        b &= b - 1
+        low = b & -b
+        total += (a & -(low << 1)).bit_count()
+        b ^= low
     return -1 if total & 1 else 1
 
 
 def blade_product(a: int, b: int, space: QuadraticSpace) -> Tuple[int, int]:
-    """Product of two basis blades: (mask a XOR b, integer coefficient)."""
-    coeff = reorder_sign(a, b)
-    inter = a & b
-    while inter:
-        j = (inter & -inter).bit_length() - 1
-        coeff *= space.norms[j]
-        inter &= inter - 1
-    return a ^ b, coeff
+    """Product of two basis blades: (mask a XOR b, integer coefficient).
+
+    The coefficient is the reordering sign times the norms of the shared
+    generators; only the negative ones count, so one parity settles them.
+    """
+    sign = reorder_sign(a, b)
+    if (a & b & space.negative_mask).bit_count() & 1:
+        sign = -sign
+    return a ^ b, sign
 
 
 def _tau_sign(k: int) -> int:
@@ -177,14 +182,14 @@ class _BladeMap:
     def distance(self, other) -> float:
         self._binary_check(other)
         keys = set(self.terms) | set(other.terms)
-        return math.sqrt(sum(_abs2(_as_complex(self.coeff(m)) - _as_complex(other.coeff(m)))
+        return math.sqrt(sum(_abs2(as_complex(self.coeff(m)) - as_complex(other.coeff(m)))
                              for m in keys))
 
     def isclose(self, other, tol: float = DEFAULT_EQ_TOL) -> bool:
         if self.space != other.space:
             return False
         keys = set(self.terms) | set(other.terms)
-        return all(abs(_as_complex(self.coeff(m)) - _as_complex(other.coeff(m))) <= tol
+        return all(abs(as_complex(self.coeff(m)) - as_complex(other.coeff(m))) <= tol
                    for m in keys)
 
     def equals_exact(self, other) -> bool:
@@ -208,7 +213,7 @@ class _BladeMap:
         return self._new({m: -c for m, c in self.terms.items()}, clean=True)
 
     def scale(self, s):
-        s = QI.coerce(s) if self.exact else _as_complex(s)
+        s = QI.coerce(s) if self.exact else as_complex(s)
         return self._new({m: c * s for m, c in self.terms.items()})
 
     def __rmul__(self, s):
@@ -217,7 +222,7 @@ class _BladeMap:
         return self.scale(s)
 
     def to_float(self):
-        return type(self)(self.space, {m: _as_complex(c) for m, c in self.terms.items()},
+        return type(self)(self.space, {m: as_complex(c) for m, c in self.terms.items()},
                           exact=False)
 
     def items(self) -> Iterator[Tuple[int, Scalar]]:
@@ -234,13 +239,12 @@ class _BladeMap:
 
 
 def _mask_indices(m: int) -> List[int]:
+    """Indices of the set bits of m, ascending."""
     out = []
-    i = 0
     while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return out
 
 
@@ -255,14 +259,14 @@ def _abs2(c) -> float:
     return c.real * c.real + c.imag * c.imag
 
 
-def _as_complex(c) -> complex:
+def as_complex(c) -> complex:
     return c.to_complex() if isinstance(c, QI) else complex(c)
 
 
 def _normalize_terms(terms: Dict[int, Scalar], exact: bool) -> Dict[int, Scalar]:
     out: Dict[int, Scalar] = {}
     for m, c in terms.items():
-        c = QI.coerce(c) if exact else _as_complex(c)
+        c = QI.coerce(c) if exact else as_complex(c)
         if exact:
             if not c.is_zero():
                 out[int(m)] = c
@@ -278,19 +282,13 @@ class CliffordElement(_BladeMap):
         if not isinstance(other, CliffordElement):
             return self.scale(other)
         self._binary_check(other)
-        norms = self.space.norms
+        space = self.space
         out: Dict[int, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                coeff = reorder_sign(ma, mb)
-                inter = ma & mb
-                while inter:
-                    j = (inter & -inter).bit_length() - 1
-                    coeff *= norms[j]
-                    inter &= inter - 1
-                m = ma ^ mb
+                m, sign = blade_product(ma, mb, space)
                 prev = out.get(m)
-                contrib = ca * cb if coeff == 1 else -(ca * cb)
+                contrib = ca * cb if sign == 1 else -(ca * cb)
                 out[m] = contrib if prev is None else prev + contrib
         return self._new(out)
 
@@ -353,7 +351,7 @@ def vector_coords(x: CliffordElement) -> List[complex]:
     for m, c in x.terms.items():
         if grade(m) != 1:
             raise ValueError("element is not grade-1")
-        out[m.bit_length() - 1] = _as_complex(c)
+        out[m.bit_length() - 1] = as_complex(c)
     return out
 
 
@@ -405,30 +403,18 @@ def complexified_space(space: QuadraticSpace) -> QuadraticSpace:
     return complex_space(space.dim)
 
 
-def inclusion_scales(space: QuadraticSpace) -> List[complex]:
-    """Per-generator scale c_k with iota(e_k) = c_k * e~_k in the complexified space.
-
-    c_k^2 = norms[k], so negative-norm generators pick up a factor i.
-    """
-    return [1.0 + 0j if n == 1 else 1j for n in space.norms]
-
-
 def complexify_element(x: CliffordElement) -> CliffordElement:
-    """Algebra inclusion Cliff(E, b) -> Cliff(E_C, b_C) on blade coefficients."""
+    """Algebra inclusion Cliff(E, b) -> Cliff(E_C, b_C) on blade coefficients.
+
+    iota(e_k) = c_k e~_k with c_k^2 = norms[k], so a blade picks up i once per
+    negative-norm generator in it.
+    """
     if x.space.field_kind == "complex":
         return x if not x.exact else x.to_float()
-    scales = inclusion_scales(x.space)
-    target = complexified_space(x.space)
-    out: Dict[int, complex] = {}
-    for m, c in x.terms.items():
-        f = _as_complex(c)
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            f *= scales[j]
-            mm &= mm - 1
-        out[m] = out.get(m, 0j) + f
-    return CliffordElement(target, out, exact=False)
+    neg = x.space.negative_mask
+    return CliffordElement(complexified_space(x.space),
+                           {m: as_complex(c) * 1j ** (m & neg).bit_count()
+                            for m, c in x.terms.items()}, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +465,31 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return -1 if inv & 1 else 1
 
 
+def exterior_blade_images(matrix, space: QuadraticSpace) -> Callable[[int], ExteriorElement]:
+    """Map a blade mask to its image g(e_j1) ^ ... ^ g(e_jk); matrix is dense over the
+    distinguished basis, and its columns are built once for all blades."""
+    n = space.dim
+    matrix = np.asarray(matrix)
+    if matrix.shape != (n, n):
+        raise ValueError(f"a {matrix.shape} matrix does not act on a space of dimension {n}")
+    cols = [exterior_vector(space, matrix[:, c]) for c in range(n)]
+
+    def image(m: int) -> ExteriorElement:
+        piece = ExteriorElement(space, {0: 1.0}, exact=False)
+        for j in _mask_indices(m):
+            piece = piece ^ cols[j]
+        return piece
+    return image
+
+
 def exterior_apply_map(matrix, w: ExteriorElement) -> ExteriorElement:
     """Factorwise action of a linear map on an exterior element.
 
     g . (v_1 ^ ... ^ v_k) = g(v_1) ^ ... ^ g(v_k), extended linearly over the
     sparse blade terms; matrix is dense over the distinguished basis.
     """
-    space = w.space
-    n = space.dim
-    cols = [exterior_vector(space, [matrix[r][c] if not hasattr(matrix, "shape") else matrix[r, c]
-                                    for r in range(n)]) for c in range(n)]
-    out = ExteriorElement(space, {}, exact=False)
+    image = exterior_blade_images(matrix, w.space)
+    out = ExteriorElement(w.space, {}, exact=False)
     for m, c in w.terms.items():
-        piece = ExteriorElement(space, {0: 1.0}, exact=False)
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            piece = piece ^ cols[j]
-            mm &= mm - 1
-        out = out + piece.scale(_as_complex(c))
+        out = out + image(m).scale(as_complex(c))
     return out

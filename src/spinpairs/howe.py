@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import CliffordElement, ExteriorElement, QuadraticSpace, complex_space
+from .clifford import (CliffordElement, ExteriorElement, QuadraticSpace, _mask_indices,
+                       complex_space, exterior_blade_images, reorder_sign)
 from .groups import ComplexifiedPair, DualPairSpec, complexify
 from .pin import lift
 from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, pi_rep
@@ -119,61 +120,48 @@ def blades_of_degree(N: int, d: int) -> List[int]:
     return [sum(1 << i for i in comb) for comb in itertools.combinations(range(N), d)]
 
 
-def _wedge_columns(vectors: List[Dict[int, complex]], N: int) -> Dict[int, complex]:
-    acc = {0: 1.0 + 0j}
-    for vec in vectors:
-        nxt: Dict[int, complex] = {}
-        for m, c in acc.items():
-            for i, vi in vec.items():
-                if m >> i & 1:
-                    continue
-                sign = -1.0 if bin(m >> (i + 1)).count("1") & 1 else 1.0
-                key = m | (1 << i)
-                nxt[key] = nxt.get(key, 0j) + sign * c * vi
-        acc = nxt
-    return acc
+def _degree_matrix(N: int, d_from: int, d_to: int,
+                   image: Callable[[int], Iterable[Tuple[int, complex]]]) -> np.ndarray:
+    """Matrix on the blade bases of Lambda(C^N): the column of a degree-d_from blade S
+    sums the (degree-d_to blade, coefficient) terms that image(S) yields."""
+    src = blades_of_degree(N, d_from)
+    row = {m: i for i, m in enumerate(blades_of_degree(N, d_to))}
+    M = np.zeros((len(row), len(src)), dtype=complex)
+    for col, S in enumerate(src):
+        for m, c in image(S):
+            M[row[m], col] += c
+    return M
 
 
 def exterior_group_matrix(g: np.ndarray, d: int) -> np.ndarray:
     """Matrix of the factorwise action of g on degree-d wedges."""
-    g = np.asarray(g, dtype=complex)
-    N = g.shape[0]
-    blades = blades_of_degree(N, d)
-    index = {m: i for i, m in enumerate(blades)}
-    cols = [{i: g[i, j] for i in range(N) if g[i, j] != 0} for j in range(N)]
-    M = np.zeros((len(blades), len(blades)), dtype=complex)
-    for cidx, mask in enumerate(blades):
-        vecs = [cols[j] for j in range(N) if mask >> j & 1]
-        img = _wedge_columns(vecs, N)
-        for m, c in img.items():
-            M[index[m], cidx] = c
-    return M
+    image = exterior_blade_images(g, complex_space(len(g)))
+    return _degree_matrix(len(g), d, d, lambda S: image(S).terms.items())
 
 
 def exterior_derivation_matrix(X: np.ndarray, d: int) -> np.ndarray:
-    """Matrix of the derivation extension of X on degree-d wedges."""
+    """Matrix of the derivation extension of X on degree-d wedges.
+
+    Independent of exterior_blade_images, so that it cross-checks the group matrix.
+    """
     X = np.asarray(X, dtype=complex)
     N = X.shape[0]
-    blades = blades_of_degree(N, d)
-    index = {m: i for i, m in enumerate(blades)}
-    M = np.zeros((len(blades), len(blades)), dtype=complex)
-    for cidx, mask in enumerate(blades):
-        members = [j for j in range(N) if mask >> j & 1]
-        for r, j in enumerate(members):
-            for i in range(N):
-                v = X[i, j]
-                if v == 0:
-                    continue
+    if X.shape != (N, N):
+        raise ValueError(f"a {X.shape} matrix is not an endomorphism")
+    cols = [[(i, X[i, j]) for i in range(N) if X[i, j] != 0] for j in range(N)]
+
+    def image(mask):
+        for j in _mask_indices(mask):
+            rest = mask ^ (1 << j)
+            for i, v in cols[j]:
                 if i == j:
-                    M[cidx, cidx] += v
-                    continue
-                if mask >> i & 1:
-                    continue
-                new_mask = (mask & ~(1 << j)) | (1 << i)
-                rp = bin((mask & ~(1 << j)) & ((1 << i) - 1)).count("1")
-                sign = -1.0 if (r + rp) & 1 else 1.0
-                M[index[new_mask], cidx] += sign * v
-    return M
+                    yield mask, v
+                elif not mask >> i & 1:
+                    # the (-1)^|rest| factors of the two reorderings cancel
+                    sign = reorder_sign(rest, 1 << j) * reorder_sign(rest, 1 << i)
+                    yield rest | (1 << i), sign * v
+
+    return _degree_matrix(N, d, d, image)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +364,8 @@ def _element_in_span(w: ExteriorElement, basis: np.ndarray, blades: List[int],
 
 def wedge_matrix(g: ExteriorElement, d_from: int, d_to: int) -> np.ndarray:
     """Matrix of (g ^ .) from degree d_from wedges to degree d_to wedges."""
-    from .clifford import reorder_sign
-
-    N = g.space.dim
-    src = blades_of_degree(N, d_from)
-    dst_index = {m: i for i, m in enumerate(blades_of_degree(N, d_to))}
-    W = np.zeros((len(dst_index), len(src)), dtype=complex)
-    for j, S in enumerate(src):
-        for mg, cg in g.terms.items():
-            if mg & S:
-                continue
-            val = complex(cg) * reorder_sign(mg, S)
-            W[dst_index[mg | S], j] += val
-    return W
+    return _degree_matrix(g.space.dim, d_from, d_to, lambda S: (
+        g ^ ExteriorElement(g.space, {S: 1.0}, exact=False)).terms.items())
 
 
 def verify_generation(model, tol: float = RANK_TOL) -> Dict[int, Tuple[int, int]]:

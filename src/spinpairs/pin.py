@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import (CliffordElement, QuadraticSpace, basis_vector, from_vector,
-                       grade, scalar_element, vector_coords)
+from .clifford import (CliffordElement, QuadraticSpace, as_complex, basis_vector,
+                       from_vector, grade, scalar_element, vector_coords)
 from .groups import DualPairSpec, LoopGenerator, OrthogonalMap, SideSpec
 
 PIN_TOL = 1e-9
@@ -73,11 +73,10 @@ class PinElement:
 
 def _scalar_sign(x: CliffordElement, tol: float) -> Optional[int]:
     """+-1 if x is the scalar +-1 to tolerance, else None."""
-    s = complex(x.coeff(0)) if not x.exact else x.coeff(0).to_complex()
+    s = as_complex(x.coeff(0))
     if abs(s.imag) > tol:
         return None
-    rest = sum(abs(complex(c) if not x.exact else c.to_complex()) ** 2
-               for m, c in x.terms.items() if m != 0)
+    rest = sum(abs(as_complex(c)) ** 2 for m, c in x.terms.items() if m != 0)
     if rest > tol * tol:
         return None
     if abs(s.real - 1) <= tol:
@@ -189,13 +188,12 @@ def canonical_sign(x: PinElement) -> PinElement:
     """
     best_mask, best_mag = None, -1.0
     for m, c in sorted(x.value.terms.items()):
-        mag = abs(complex(c) if not x.value.exact else c.to_complex())
+        mag = abs(as_complex(c))
         if mag > best_mag + 1e-12:
             best_mask, best_mag = m, mag
     if best_mask is None:
         raise NotPinError("zero element")
-    piv = x.value.coeff(best_mask)
-    piv = complex(piv) if not x.value.exact else piv.to_complex()
+    piv = as_complex(x.value.coeff(best_mask))
     if piv.real < -1e-12 or (abs(piv.real) <= 1e-12 and piv.imag < 0):
         return -x
     return x

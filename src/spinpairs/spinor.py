@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .clifford import (CliffordElement, QuadraticSpace, complexify_element,
-                       from_vector, grade)
+from .clifford import (CliffordElement, QuadraticSpace, _mask_indices, as_complex,
+                       complexify_element, from_vector, grade, reorder_sign)
 from .groups import LieElement
 from .pin import PinElement
 
@@ -55,20 +55,15 @@ def build_spinors(space_c: QuadraticSpace) -> SpinorSpace:
         raise ValueError(f"half-dimension {n} exceeds the dense-operator cap {MAX_HALF_DIM}")
     dim = 1 << n
     create = []
-    annihilate = []
     for j in range(n):
-        lower_mask = (1 << j) - 1
         Cj = np.zeros((dim, dim), dtype=complex)
-        Aj = np.zeros((dim, dim), dtype=complex)
         for T in range(dim):
             if not (T >> j) & 1:
-                s = -1.0 if bin(T & lower_mask).count("1") & 1 else 1.0
-                Cj[T | (1 << j), T] = s
-                Aj[T, T | (1 << j)] = s
+                Cj[T | (1 << j), T] = reorder_sign(1 << j, T)
         create.append(Cj)
-        annihilate.append(Aj)
-    gammas = [create[j] + annihilate[j] for j in range(n)]
-    gammas += [1j * (create[j] - annihilate[j]) for j in range(n)]
+    # contraction by a_j^* is the transpose of the wedge by a_j
+    gammas = [C + C.T for C in create]
+    gammas += [1j * (C - C.T) for C in create]
     witt = np.zeros((2 * n, 2 * n), dtype=complex)
     for j in range(n):
         witt[j, j] = 0.5
@@ -86,15 +81,9 @@ def gamma_tilde(sp: SpinorSpace, x: CliffordElement) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for m, c in x.terms.items():
         op = None
-        mm = m
-        j = 0
-        while mm:
-            if mm & 1:
-                op = sp.gammas[j] if op is None else op @ sp.gammas[j]
-            mm >>= 1
-            j += 1
-        coeff = complex(c) if not x.exact else c.to_complex()
-        out += coeff * (np.eye(dim) if op is None else op)
+        for j in _mask_indices(m):
+            op = sp.gammas[j] if op is None else op @ sp.gammas[j]
+        out += as_complex(c) * (np.eye(dim) if op is None else op)
     return out
 
 

@@ -2,13 +2,15 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpairs.clifford import (BackendMismatchError, CliffordElement, ExteriorElement,
+import spinpairs
+from spinpairs.clifford import (MAX_DIM, BackendMismatchError, CliffordElement, ExteriorElement,
                                 QuadraticSpace, SpaceMismatchError, basis_vector, blade,
                                 blade_product, chevalley_T, chevalley_T_inv,
                                 chevalley_T_vectors, complex_space, complexify_element,
@@ -57,6 +59,54 @@ def test_reorder_sign_matches_inversion_count():
     # e2e3 * e1 moves e1 past two generators
     assert reorder_sign(0b110, 0b001) == 1
     assert reorder_sign(0b110, 0b010) == -1
+
+
+def _oracle_blade_product(a, b, norms):
+    """Concatenate the index lists, bubble-sort counting transpositions, then
+    contract equal neighbours by their norm."""
+    idx = range(len(norms))
+    seq = [i for i in idx if a >> i & 1] + [i for i in idx if b >> i & 1]
+    swaps = 0
+    for end in range(len(seq) - 1, 0, -1):
+        for k in range(end):
+            if seq[k] > seq[k + 1]:
+                seq[k], seq[k + 1] = seq[k + 1], seq[k]
+                swaps += 1
+    reorder = -1 if swaps % 2 else 1
+    coeff, kept = reorder, []
+    for i in seq:
+        if kept and kept[-1] == i:
+            kept.pop()
+            coeff *= norms[i]
+        else:
+            kept.append(i)
+    return reorder, sum(1 << i for i in kept), coeff
+
+
+@st.composite
+def _blade_pairs(draw):
+    n = draw(st.integers(1, MAX_DIM))
+    norms = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    mask = st.integers(0, (1 << n) - 1)
+    return norms, draw(mask), draw(mask)
+
+
+@given(_blade_pairs())
+@settings(max_examples=200, deadline=None)
+def test_blade_kernel_matches_bubble_sort_oracle(case):
+    norms, a, b = case
+    reorder, mask, coeff = _oracle_blade_product(a, b, norms)
+    assert reorder_sign(a, b) == reorder
+    assert blade_product(a, b, QuadraticSpace("real", norms)) == (mask, coeff)
+
+
+def test_bit_tricks_and_exact_conversion_only_in_clifford():
+    # the blade-sign kernel and coefficient conversion live in clifford.py alone
+    banned = ("bin(", '.count("1")', ".bit_length()", ".to_complex()")
+    for path in Path(spinpairs.__file__).parent.glob("*.py"):
+        if path.name != "clifford.py":
+            text = path.read_text()
+            assert not [b for b in banned if b in text], path.name
 
 
 # --- multiplication ---------------------------------------------------------
@@ -275,6 +325,11 @@ def test_exterior_apply_map_is_factorwise():
     lhs = exterior_apply_map(g, exterior_vector(E, v) ^ exterior_vector(E, w))
     rhs = exterior_vector(E, g @ v) ^ exterior_vector(E, g @ w)
     assert lhs.isclose(rhs, 1e-10)
+
+
+def test_exterior_apply_map_rejects_mismatched_matrix():
+    with pytest.raises(ValueError):
+        exterior_apply_map(np.arange(25.).reshape(5, 5), exterior_vector(complex_space(4), [1, 2, 3, 4]))
 
 
 # --- complexification -------------------------------------------------------

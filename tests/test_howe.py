@@ -57,13 +57,19 @@ def test_derivation_exponentiates_to_group_action():
                            exterior_group_matrix(g, d), atol=1e-8)
 
 
+@pytest.mark.parametrize("build", [exterior_group_matrix, exterior_derivation_matrix])
+def test_exterior_matrices_reject_non_square(build):
+    with pytest.raises(ValueError):
+        build(np.ones((3, 5)), 1)
+
+
 def test_nullspace_of_zero_map_is_everything():
     ns = nullspace(np.zeros((3, 4)))
     assert ns.shape[0] == 4
 
 
 def test_dense_and_sparse_exterior_actions_agree():
-    # two independent implementations of the factorwise action
+    # the dense matrix must place each blade image of the sparse action in its row
     from spinpairs.clifford import ExteriorElement, exterior_apply_map
     E = complex_space(5)
     rng = np.random.default_rng(55)
