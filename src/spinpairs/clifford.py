@@ -3,8 +3,9 @@
 Basis blades are bitmasks over an orthogonal basis ``e_0 .. e_{n-1}`` with
 ``e_i e_j + e_j e_i = 2 b(e_i, e_j) = 2 delta_ij norms[i]``, i.e. every
 generator squares to its norm (+1 or -1).  Elements are sparse maps from
-blade mask to coefficient, with either exact Gaussian-rational or complex
-double coefficients.
+blade mask to complex-double coefficient.  Sums and products of Gaussian
+integers below 2**53 are exact in doubles, so integer-coefficient identities
+hold exactly, and ``equals_exact`` compares such elements term for term.
 
 The quadratic convention matters: with generators squaring to the half-norm
 the unit-vector membership equations of the Pin group have no solutions over
@@ -16,26 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .scalars import QI
 
 MAX_DIM = 62
 FLOAT_DROP_TOL = 1e-12
 DEFAULT_EQ_TOL = 1e-9
 
-Scalar = Union[complex, QI]
-
 
 class SpaceMismatchError(ValueError):
     """Operands live over different quadratic spaces."""
-
-
-class BackendMismatchError(TypeError):
-    """Exact and float coefficients mixed in one operation."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +128,17 @@ def _tau_sign(k: int) -> int:
 class _BladeMap:
     """Shared sparse-term machinery for Clifford and exterior elements."""
 
-    __slots__ = ("space", "terms", "exact")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, space: QuadraticSpace, terms: Dict[int, Scalar], exact: bool,
-                 _clean: bool = False):
+    def __init__(self, space: QuadraticSpace, terms: Dict[int, complex], *, exact=False,
+                 _clean=False):
+        if exact:
+            raise ValueError("coefficients are complex doubles; there is no exact mode")
         self.space = space
-        self.exact = exact
         if _clean:
             self.terms = terms
         else:
-            self.terms = _normalize_terms(terms, exact)
+            self.terms = _normalize_terms(terms)
         top = 1 << space.dim
         if any(m >= top or m < 0 for m in self.terms):
             raise ValueError("blade mask out of range for the space")
@@ -155,12 +148,9 @@ class _BladeMap:
     def _binary_check(self, other: "_BladeMap"):
         if self.space != other.space:
             raise SpaceMismatchError("elements live over different spaces")
-        if self.exact != other.exact:
-            raise BackendMismatchError("cannot mix exact and float coefficients")
 
-    def coeff(self, mask: int) -> Scalar:
-        zero = QI.of(0) if self.exact else 0j
-        return self.terms.get(mask, zero)
+    def coeff(self, mask: int) -> complex:
+        return self.terms.get(mask, 0j)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -177,33 +167,32 @@ class _BladeMap:
         return self._new({m: c for m, c in self.terms.items() if grade(m) == k})
 
     def norm(self) -> float:
-        return math.sqrt(sum(_abs2(c) for c in self.terms.values()))
+        return math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in self.terms.values()))
 
     def distance(self, other) -> float:
         self._binary_check(other)
-        keys = set(self.terms) | set(other.terms)
-        return math.sqrt(sum(_abs2(as_complex(self.coeff(m)) - as_complex(other.coeff(m)))
-                             for m in keys))
+        a, b = self.terms, other.terms
+        diffs = (a.get(m, 0j) - b.get(m, 0j) for m in set(a) | set(b))
+        return math.sqrt(sum(d.real * d.real + d.imag * d.imag for d in diffs))
 
     def isclose(self, other, tol: float = DEFAULT_EQ_TOL) -> bool:
         if self.space != other.space:
             return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(as_complex(self.coeff(m)) - as_complex(other.coeff(m))) <= tol
-                   for m in keys)
+        a, b = self.terms, other.terms
+        return all(abs(a.get(m, 0j) - b.get(m, 0j)) <= tol for m in set(a) | set(b))
 
     def equals_exact(self, other) -> bool:
         self._binary_check(other)
         return self.terms == other.terms
 
     def _new(self, terms, clean=False):
-        return type(self)(self.space, terms, self.exact, _clean=clean)
+        return type(self)(self.space, terms, _clean=clean)
 
     def __add__(self, other):
         self._binary_check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, _zero(self.exact)) + c
+            out[m] = out.get(m, 0j) + c
         return self._new(out)
 
     def __sub__(self, other):
@@ -213,7 +202,7 @@ class _BladeMap:
         return self._new({m: -c for m, c in self.terms.items()}, clean=True)
 
     def scale(self, s):
-        s = QI.coerce(s) if self.exact else as_complex(s)
+        s = complex(s)
         return self._new({m: c * s for m, c in self.terms.items()})
 
     def __rmul__(self, s):
@@ -221,11 +210,7 @@ class _BladeMap:
             return NotImplemented
         return self.scale(s)
 
-    def to_float(self):
-        return type(self)(self.space, {m: as_complex(c) for m, c in self.terms.items()},
-                          exact=False)
-
-    def items(self) -> Iterator[Tuple[int, Scalar]]:
+    def items(self) -> Iterator[Tuple[int, complex]]:
         return iter(sorted(self.terms.items()))
 
     def __repr__(self):
@@ -248,29 +233,11 @@ def _mask_indices(m: int) -> List[int]:
     return out
 
 
-def _zero(exact: bool) -> Scalar:
-    return QI.of(0) if exact else 0j
-
-
-def _abs2(c) -> float:
-    if isinstance(c, QI):
-        return float(c.abs2())
-    c = complex(c)
-    return c.real * c.real + c.imag * c.imag
-
-
-def as_complex(c) -> complex:
-    return c.to_complex() if isinstance(c, QI) else complex(c)
-
-
-def _normalize_terms(terms: Dict[int, Scalar], exact: bool) -> Dict[int, Scalar]:
-    out: Dict[int, Scalar] = {}
+def _normalize_terms(terms: Dict[int, complex]) -> Dict[int, complex]:
+    out: Dict[int, complex] = {}
     for m, c in terms.items():
-        c = QI.coerce(c) if exact else as_complex(c)
-        if exact:
-            if not c.is_zero():
-                out[int(m)] = c
-        elif abs(c) > FLOAT_DROP_TOL:
+        c = complex(c)
+        if abs(c) > FLOAT_DROP_TOL:
             out[int(m)] = c
     return out
 
@@ -283,7 +250,7 @@ class CliffordElement(_BladeMap):
             return self.scale(other)
         self._binary_check(other)
         space = self.space
-        out: Dict[int, Scalar] = {}
+        out: Dict[int, complex] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m, sign = blade_product(ma, mb, space)
@@ -308,7 +275,7 @@ class ExteriorElement(_BladeMap):
 
     def __xor__(self, other) -> "ExteriorElement":
         self._binary_check(other)
-        out: Dict[int, Scalar] = {}
+        out: Dict[int, complex] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 if ma & mb:
@@ -322,27 +289,27 @@ class ExteriorElement(_BladeMap):
 
 # -- constructors -----------------------------------------------------------
 
-def scalar_element(space: QuadraticSpace, value=1, exact: bool = False) -> CliffordElement:
-    return CliffordElement(space, {0: value}, exact)
+def scalar_element(space: QuadraticSpace, value=1) -> CliffordElement:
+    return CliffordElement(space, {0: value})
 
 
-def basis_vector(space: QuadraticSpace, i: int, exact: bool = False) -> CliffordElement:
-    return CliffordElement(space, {1 << i: 1}, exact)
+def basis_vector(space: QuadraticSpace, i: int) -> CliffordElement:
+    return CliffordElement(space, {1 << i: 1})
 
 
-def blade(space: QuadraticSpace, indices: Iterable[int], exact: bool = False) -> CliffordElement:
+def blade(space: QuadraticSpace, indices: Iterable[int]) -> CliffordElement:
     mask = 0
     for i in indices:
         mask |= 1 << i
-    return CliffordElement(space, {mask: 1}, exact)
+    return CliffordElement(space, {mask: 1})
 
 
-def from_vector(space: QuadraticSpace, coords: Sequence, exact: bool = False) -> CliffordElement:
-    return CliffordElement(space, {1 << i: c for i, c in enumerate(coords)}, exact)
+def from_vector(space: QuadraticSpace, coords: Sequence) -> CliffordElement:
+    return CliffordElement(space, {1 << i: c for i, c in enumerate(coords)})
 
 
-def exterior_vector(space: QuadraticSpace, coords: Sequence, exact: bool = False) -> ExteriorElement:
-    return ExteriorElement(space, {1 << i: c for i, c in enumerate(coords)}, exact)
+def exterior_vector(space: QuadraticSpace, coords: Sequence) -> ExteriorElement:
+    return ExteriorElement(space, {1 << i: c for i, c in enumerate(coords)})
 
 
 def vector_coords(x: CliffordElement) -> List[complex]:
@@ -351,7 +318,7 @@ def vector_coords(x: CliffordElement) -> List[complex]:
     for m, c in x.terms.items():
         if grade(m) != 1:
             raise ValueError("element is not grade-1")
-        out[m.bit_length() - 1] = as_complex(c)
+        out[m.bit_length() - 1] = c
     return out
 
 
@@ -361,7 +328,7 @@ def vector_coords(x: CliffordElement) -> List[complex]:
 
 def embed_factor(x: CliffordElement, total: QuadraticSpace, offset: int) -> CliffordElement:
     """Canonical algebra embedding of a factor into Cliff(E1 + E2) by index shift."""
-    return CliffordElement(total, {m << offset: c for m, c in x.terms.items()}, x.exact)
+    return CliffordElement(total, {m << offset: c for m, c in x.terms.items()})
 
 
 def graded_tensor_mul(a: Tuple[CliffordElement, CliffordElement],
@@ -410,11 +377,10 @@ def complexify_element(x: CliffordElement) -> CliffordElement:
     negative-norm generator in it.
     """
     if x.space.field_kind == "complex":
-        return x if not x.exact else x.to_float()
+        return x
     neg = x.space.negative_mask
     return CliffordElement(complexified_space(x.space),
-                           {m: as_complex(c) * 1j ** (m & neg).bit_count()
-                            for m, c in x.terms.items()}, exact=False)
+                           {m: c * 1j ** (m & neg).bit_count() for m, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +394,11 @@ def chevalley_T(w: ExteriorElement) -> CliffordElement:
     the antisymmetrization equals the ordered product, so the 1/k! average
     collapses and T is coordinatewise.
     """
-    return CliffordElement(w.space, dict(w.terms), w.exact, _clean=True)
+    return CliffordElement(w.space, dict(w.terms), _clean=True)
 
 
 def chevalley_T_inv(x: CliffordElement) -> ExteriorElement:
-    return ExteriorElement(x.space, dict(x.terms), x.exact, _clean=True)
+    return ExteriorElement(x.space, dict(x.terms), _clean=True)
 
 
 def chevalley_T_vectors(vectors: Sequence[CliffordElement]) -> CliffordElement:
@@ -446,17 +412,14 @@ def chevalley_T_vectors(vectors: Sequence[CliffordElement]) -> CliffordElement:
     if not vectors:
         raise ValueError("need at least one vector")
     space = vectors[0].space
-    exact = vectors[0].exact
     k = len(vectors)
-    acc = CliffordElement(space, {}, exact)
+    acc = CliffordElement(space, {})
     for perm in itertools.permutations(range(k)):
         sgn = _perm_sign(perm)
-        prod = scalar_element(space, 1, exact)
+        prod = scalar_element(space, 1)
         for i in perm:
             prod = prod * vectors[i]
         acc = acc + (prod if sgn == 1 else -prod)
-    if exact:
-        return acc.scale(Fraction(1, math.factorial(k)))
     return acc.scale(1.0 / math.factorial(k))
 
 
@@ -475,7 +438,7 @@ def exterior_blade_images(matrix, space: QuadraticSpace) -> Callable[[int], Exte
     cols = [exterior_vector(space, matrix[:, c]) for c in range(n)]
 
     def image(m: int) -> ExteriorElement:
-        piece = ExteriorElement(space, {0: 1.0}, exact=False)
+        piece = ExteriorElement(space, {0: 1.0})
         for j in _mask_indices(m):
             piece = piece ^ cols[j]
         return piece
@@ -489,7 +452,7 @@ def exterior_apply_map(matrix, w: ExteriorElement) -> ExteriorElement:
     sparse blade terms; matrix is dense over the distinguished basis.
     """
     image = exterior_blade_images(matrix, w.space)
-    out = ExteriorElement(w.space, {}, exact=False)
+    out = ExteriorElement(w.space, {})
     for m, c in w.terms.items():
-        out = out + image(m).scale(as_complex(c))
+        out = out + image(m).scale(c)
     return out

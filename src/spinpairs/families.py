@@ -271,11 +271,6 @@ def _reflection(n: int, slot: int = 0, dtype=float) -> np.ndarray:
     return np.diag([-1.0 if k == slot else 1.0 for k in range(n)]).astype(dtype)
 
 
-def _complex_structure(side: SideSpec, n: int) -> np.ndarray:
-    """Multiplication by i on E: the G-embedding of i * I_n."""
-    return side.embed_group(1j * np.eye(n)).matrix
-
-
 # ---------------------------------------------------------------------------
 # real-orthogonal pair (negative control for Pin-level commutation)
 # ---------------------------------------------------------------------------
@@ -326,9 +321,7 @@ def build_U(params) -> DualPairSpec:
         emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), P.T, P)
         return _side(emb, f"U({p},{q})", u_pq_basis(p, q), [], loops)
 
-    G = side(kG, p1, q1, "G")
-    return DualPairSpec("U", params, space, G, side(kGp, p2, q2, "G'"),
-                        complex_structure=_complex_structure(G, d1))
+    return DualPairSpec("U", params, space, side(kG, p1, q1, "G"), side(kGp, p2, q2, "G'"))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +366,8 @@ def _build_O_C(params, real: bool) -> DualPairSpec:
                      so_n_complex_basis(n, real), [("r", _reflection(n, dtype=complex))],
                      [(f"SO({n})[{tag}]", lambda t: _rot(n, t))])
 
-    G = side(kG, n1, "G")
-    return DualPairSpec("O_C_real" if real else "O_C", params, space, G, side(kGp, n2, "G'"),
-                        complex_structure=_complex_structure(G, n1) if real else None)
+    return DualPairSpec("O_C_real" if real else "O_C", params, space,
+                        side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 def _build_Sp_C(params, real: bool) -> DualPairSpec:
@@ -390,9 +382,8 @@ def _build_Sp_C(params, real: bool) -> DualPairSpec:
         return _side(Embedding(space, k, Pcinv, Pc, realify=real), f"Sp({2*n},C)",
                      sp_2n_basis(n, real), [], [])
 
-    G = side(kG, n1)
-    return DualPairSpec("Sp_C_real" if real else "Sp_C", params, space, G, side(kGp, n2),
-                        complex_structure=_complex_structure(G, 2 * n1) if real else None)
+    return DualPairSpec("Sp_C_real" if real else "Sp_C", params, space,
+                        side(kG, n1), side(kGp, n2))
 
 
 def build_O_C_real(params) -> DualPairSpec:
@@ -477,21 +468,27 @@ def build_O_star(params) -> DualPairSpec:
 # type-II general linear pairs: E = E1 + E1^* with split form
 # ---------------------------------------------------------------------------
 
-def _split_frame(d: int) -> np.ndarray:
-    """Orthonormal involutive change to b_+- = (e +- e*)/sqrt(2) on E1 + E1*."""
+def _split_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(left, right) of the change to b_+- = (e +- e*)/sqrt(2) on E1 + E1*.
+
+    The orthonormal frame is H/sqrt(2) with the integer H = [[I, I], [I, -I]];
+    since H H = 2I, left = H and right = H/2 give the same conjugation with
+    no rounding, so sign-matrix component reps embed to exact sign matrices.
+    """
     I = np.eye(d)
-    return np.block([[I, I], [I, -I]]) / np.sqrt(2.0)
+    H = np.block([[I, I], [I, -I]])
+    return H, H / 2.0
 
 
 def build_GL_R(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    Pb = _split_frame(n1 * n2)
+    left, right = _split_frame(n1 * n2)
     space = real_space(n1 * n2, n1 * n2)
     kG, kGp = _kron_sides(n1, n2, dtype=float)
 
     def side(k, n, tag):
         loops = [(f"SO({n})[{tag}]", lambda t: _rot(n, t))] if n >= 2 else []
-        return _side(Embedding(space, k, Pb, Pb, dual=True), f"GL({n},R)",
+        return _side(Embedding(space, k, left, right, dual=True), f"GL({n},R)",
                      [M.real for M in gl_real_basis(n)], [("s", _reflection(n))], loops)
 
     return DualPairSpec("GL_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
@@ -499,24 +496,22 @@ def build_GL_R(params) -> DualPairSpec:
 
 def build_GL_C(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    Pb = _split_frame(2 * n1 * n2)
+    left, right = _split_frame(2 * n1 * n2)
     space = real_space(2 * n1 * n2, 2 * n1 * n2)
     kG, kGp = _kron_sides(n1, n2)
 
     def side(k, n, tag):
-        emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), Pb, Pb, dual=True)
+        emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), left, right, dual=True)
         return _side(emb, f"GL({n},C)", gl_complex_basis(n, True), [],
                      [(f"U({n})[{tag}]", lambda t: _u1_at(n, 0, t))])
 
-    G = side(kG, n1, "G")
-    return DualPairSpec("GL_C", params, space, G, side(kGp, n2, "G'"),
-                        complex_structure=_complex_structure(G, n1))
+    return DualPairSpec("GL_C", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 def build_GL_H(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
     _, mG, mGp = _fixed_models(quaternion_J(n1), quaternion_J(n2))
-    Pb = _split_frame(4 * n1 * n2)
+    left, right = _split_frame(4 * n1 * n2)
     space = real_space(4 * n1 * n2, 4 * n1 * n2)
 
     def quat_gl_basis(n):
@@ -531,7 +526,8 @@ def build_GL_H(params) -> DualPairSpec:
         return out
 
     def side(m, n):
-        return _side(Embedding(space, m, Pb, Pb, dual=True), f"GL({n},H)", quat_gl_basis(n), [], [])
+        return _side(Embedding(space, m, left, right, dual=True), f"GL({n},H)",
+                     quat_gl_basis(n), [], [])
 
     return DualPairSpec("GL_H", params, space, side(mG, n1), side(mGp, n2))
 
@@ -593,12 +589,19 @@ MINIMAL_PARAMS: Dict[str, tuple] = {
 }
 
 
+def _integer(x) -> int:
+    # int() would truncate 1.5 to 1 and read True as 1: a different pair, silently
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ClassificationError(f"parameters must be integers, got {x!r}")
+    return int(x)
+
+
 def normalize_params(family: str, params) -> tuple:
     if family in PAIR_PARAM_FAMILIES:
         (a, b), (c, d) = params
-        return ((int(a), int(b)), (int(c), int(d)))
+        return ((_integer(a), _integer(b)), (_integer(c), _integer(d)))
     a, b = params
-    return (int(a), int(b))
+    return (_integer(a), _integer(b))
 
 
 def build_pair(family: str, params) -> DualPairSpec:

@@ -128,7 +128,6 @@ class DualPairSpec:
     space: QuadraticSpace
     G: SideSpec
     Gp: SideSpec
-    complex_structure: Optional[np.ndarray] = None
 
     @property
     def is_complex_ambient(self) -> bool:
@@ -357,7 +356,6 @@ class ComplexifiedPair:
     lie_Gp: List[np.ndarray]
     comps_G: List[Tuple[str, np.ndarray]]
     comps_Gp: List[Tuple[str, np.ndarray]]
-    complex_structure: Optional[np.ndarray] = None
 
     def side(self, which: str) -> Tuple[List[np.ndarray], List[Tuple[str, np.ndarray]]]:
         """Complexified Lie generators and component reps of one member."""
@@ -382,7 +380,6 @@ def complexify(spec: DualPairSpec) -> ComplexifiedPair:
             [np.asarray(g.matrix, dtype=complex) for g in spec.Gp.lie_generators],
             [(r.name, np.asarray(r.map.matrix, dtype=complex)) for r in spec.G.component_reps],
             [(r.name, np.asarray(r.map.matrix, dtype=complex)) for r in spec.Gp.component_reps],
-            spec.complex_structure,
         )
     scales = np.array([1.0 + 0j if n == 1 else 1j for n in spec.space.norms])
     C = np.diag(scales)
@@ -391,14 +388,12 @@ def complexify(spec: DualPairSpec) -> ComplexifiedPair:
     def conj(M):
         return C @ np.asarray(M, dtype=complex) @ Cinv
 
-    Jc = conj(spec.complex_structure) if spec.complex_structure is not None else None
     return ComplexifiedPair(
         spec, complex_space(spec.space.dim), scales,
         [conj(g.matrix) for g in spec.G.lie_generators],
         [conj(g.matrix) for g in spec.Gp.lie_generators],
         [(r.name, conj(r.map.matrix)) for r in spec.G.component_reps],
         [(r.name, conj(r.map.matrix)) for r in spec.Gp.component_reps],
-        Jc,
     )
 
 

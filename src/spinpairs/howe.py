@@ -188,7 +188,7 @@ class InvariantSpace:
             blades = blades_of_degree(self.space.dim, d)
             for row in self.degree_bases[d]:
                 out.append(ExteriorElement(
-                    self.space, {m: row[i] for i, m in enumerate(blades)}, exact=False))
+                    self.space, {m: row[i] for i, m in enumerate(blades)}))
         return out
 
 
@@ -258,12 +258,12 @@ class GLModel:
         out = []
         for a in range(self.m):
             for b in range(self.l):
-                acc = ExteriorElement(sp, {}, exact=False)
+                acc = ExteriorElement(sp, {})
                 for k in range(self.n):
                     i1 = k * self.m + a
                     i2 = self.n * self.m + k * self.l + b
-                    e1 = ExteriorElement(sp, {1 << i1: 1.0}, exact=False)
-                    e2 = ExteriorElement(sp, {1 << i2: 1.0}, exact=False)
+                    e1 = ExteriorElement(sp, {1 << i1: 1.0})
+                    e2 = ExteriorElement(sp, {1 << i2: 1.0})
                     acc = acc + (e1 ^ e2)
                 out.append(acc)
         return out
@@ -303,10 +303,10 @@ class OModel:
         out = []
         for a in range(self.m):
             for b in range(a + 1, self.m):
-                acc = ExteriorElement(sp, {}, exact=False)
+                acc = ExteriorElement(sp, {})
                 for k in range(self.n):
-                    e1 = ExteriorElement(sp, {1 << (k * self.m + a): 1.0}, exact=False)
-                    e2 = ExteriorElement(sp, {1 << (k * self.m + b): 1.0}, exact=False)
+                    e1 = ExteriorElement(sp, {1 << (k * self.m + a): 1.0})
+                    e2 = ExteriorElement(sp, {1 << (k * self.m + b): 1.0})
                     acc = acc + (e1 ^ e2)
                 out.append(acc)
         return out
@@ -341,12 +341,12 @@ class SpModel:
         out = []
         for a in range(self.m):
             for b in range(a, self.m):
-                acc = ExteriorElement(sp, {}, exact=False)
+                acc = ExteriorElement(sp, {})
                 for k in range(self.n):
-                    ek_a = ExteriorElement(sp, {1 << (k * self.m + a): 1.0}, exact=False)
-                    fk_b = ExteriorElement(sp, {1 << ((self.n + k) * self.m + b): 1.0}, exact=False)
-                    fk_a = ExteriorElement(sp, {1 << ((self.n + k) * self.m + a): 1.0}, exact=False)
-                    ek_b = ExteriorElement(sp, {1 << (k * self.m + b): 1.0}, exact=False)
+                    ek_a = ExteriorElement(sp, {1 << (k * self.m + a): 1.0})
+                    fk_b = ExteriorElement(sp, {1 << ((self.n + k) * self.m + b): 1.0})
+                    fk_a = ExteriorElement(sp, {1 << ((self.n + k) * self.m + a): 1.0})
+                    ek_b = ExteriorElement(sp, {1 << (k * self.m + b): 1.0})
                     acc = acc + (ek_a ^ fk_b) - (fk_a ^ ek_b)
                 out.append(acc)
         return out
@@ -365,7 +365,7 @@ def _element_in_span(w: ExteriorElement, basis: np.ndarray, blades: List[int],
 def wedge_matrix(g: ExteriorElement, d_from: int, d_to: int) -> np.ndarray:
     """Matrix of (g ^ .) from degree d_from wedges to degree d_to wedges."""
     return _degree_matrix(g.space.dim, d_from, d_to, lambda S: (
-        g ^ ExteriorElement(g.space, {S: 1.0}, exact=False)).terms.items())
+        g ^ ExteriorElement(g.space, {S: 1.0})).terms.items())
 
 
 def verify_generation(model, tol: float = RANK_TOL) -> Dict[int, Tuple[int, int]]:
@@ -420,7 +420,7 @@ def transfer_invariants(inv: InvariantSpace, sp: SpinorSpace) -> List[np.ndarray
         raise ValueError("invariants and spinors live over different spaces")
     ops = []
     for w in inv.elements():
-        x = CliffordElement(sp.space, dict(w.terms), exact=False, _clean=True)
+        x = CliffordElement(sp.space, dict(w.terms), _clean=True)
         ops.append(gamma_tilde(sp, x))
     return ops
 

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import (CliffordElement, QuadraticSpace, as_complex, basis_vector,
-                       from_vector, grade, scalar_element, vector_coords)
+from .clifford import (CliffordElement, QuadraticSpace, basis_vector, from_vector, grade,
+                       scalar_element, vector_coords)
 from .groups import DualPairSpec, LoopGenerator, OrthogonalMap, SideSpec
 
 PIN_TOL = 1e-9
@@ -73,10 +73,10 @@ class PinElement:
 
 def _scalar_sign(x: CliffordElement, tol: float) -> Optional[int]:
     """+-1 if x is the scalar +-1 to tolerance, else None."""
-    s = as_complex(x.coeff(0))
+    s = x.coeff(0)
     if abs(s.imag) > tol:
         return None
-    rest = sum(abs(as_complex(c)) ** 2 for m, c in x.terms.items() if m != 0)
+    rest = sum(abs(c) ** 2 for m, c in x.terms.items() if m != 0)
     if rest > tol * tol:
         return None
     if abs(s.real - 1) <= tol:
@@ -104,7 +104,7 @@ def pin_element(value: CliffordElement, validate: bool = True,
         xinv = x.inverse_value()
         ax = value.alpha()
         for k in range(value.space.dim):
-            img = ax * basis_vector(value.space, k, exact=value.exact) * xinv
+            img = ax * basis_vector(value.space, k) * xinv
             if any(grade(m) != 1 for m in img.terms):
                 raise NotPinError("twisted conjugation does not preserve the vector space")
     return x
@@ -118,7 +118,7 @@ def project(x: PinElement, tol: float = PIN_TOL) -> OrthogonalMap:
     ax = x.value.alpha()
     cols = []
     for k in range(n):
-        img = ax * basis_vector(space, k, exact=x.value.exact) * xinv
+        img = ax * basis_vector(space, k) * xinv
         bad = [m for m in img.terms if grade(m) != 1]
         if bad:
             raise NotPinError(f"projection image of e_{k} has non-vector components")
@@ -143,7 +143,7 @@ def lift(g: OrthogonalMap, validate: bool = False) -> PinElement:
     n = space.dim
     B = np.diag(np.array(space.norms, dtype=float))
     cur = np.asarray(g.matrix, dtype=complex).copy()
-    x = scalar_element(space, 1.0, exact=False)
+    x = scalar_element(space, 1.0)
     parity = 0
     nu = 1
     for i in range(n):
@@ -167,7 +167,7 @@ def lift(g: OrthogonalMap, validate: bool = False) -> PinElement:
                 nu *= 1 if brr.real > 0 else -1
             else:
                 rhat = r / np.sqrt(brr + 0j)
-            x = x * from_vector(space, rhat, exact=False)
+            x = x * from_vector(space, rhat)
             parity ^= 1
             R = np.eye(n) - 2.0 * np.outer(r, B @ r) / brr
             cur = R @ cur
@@ -188,12 +188,12 @@ def canonical_sign(x: PinElement) -> PinElement:
     """
     best_mask, best_mag = None, -1.0
     for m, c in sorted(x.value.terms.items()):
-        mag = abs(as_complex(c))
+        mag = abs(c)
         if mag > best_mag + 1e-12:
             best_mask, best_mag = m, mag
     if best_mask is None:
         raise NotPinError("zero element")
-    piv = as_complex(x.value.coeff(best_mask))
+    piv = x.value.coeff(best_mask)
     if piv.real < -1e-12 or (abs(piv.real) <= 1e-12 and piv.imag < 0):
         return -x
     return x

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .clifford import (CliffordElement, QuadraticSpace, _mask_indices, as_complex,
-                       complexify_element, from_vector, grade, reorder_sign)
+from .clifford import (CliffordElement, QuadraticSpace, _mask_indices, complexify_element,
+                       from_vector, grade, reorder_sign)
 from .groups import LieElement
 from .pin import PinElement
 
@@ -83,7 +83,7 @@ def gamma_tilde(sp: SpinorSpace, x: CliffordElement) -> np.ndarray:
         op = None
         for j in _mask_indices(m):
             op = sp.gammas[j] if op is None else op @ sp.gammas[j]
-        out += as_complex(c) * (np.eye(dim) if op is None else op)
+        out += c * (np.eye(dim) if op is None else op)
     return out
 
 
@@ -120,7 +120,7 @@ def lie_to_clifford(X: Union[LieElement, np.ndarray],
     if not np.allclose(M.T @ B + B @ M, 0, atol=tol):
         raise ValueError("matrix is not antisymmetric for the quadratic form")
     n = space.dim
-    acc = CliffordElement(space, {}, exact=False)
+    acc = CliffordElement(space, {})
     for k in range(n):
         col = M[:, k]
         if not col.any():
@@ -128,8 +128,7 @@ def lie_to_clifford(X: Union[LieElement, np.ndarray],
         term = from_vector(space, col) * from_vector(space, np.eye(n)[k])
         acc = acc + term.scale(0.25 * space.norms[k])
     # the scalar part cancels by antisymmetry; drop roundoff residue
-    return CliffordElement(space, {m: c for m, c in acc.terms.items() if grade(m) == 2},
-                           exact=False)
+    return CliffordElement(space, {m: c for m, c in acc.terms.items() if grade(m) == 2})
 
 
 def d_pi(sp: SpinorSpace, X: Union[LieElement, np.ndarray]) -> np.ndarray:
@@ -149,6 +148,6 @@ def generated_operator_rank(sp: SpinorSpace, tol: float = 1e-8) -> int:
     n2 = sp.space.dim
     rows = []
     for m in range(1 << n2):
-        rows.append(gamma_tilde(sp, CliffordElement(sp.space, {m: 1.0}, exact=False)).ravel())
+        rows.append(gamma_tilde(sp, CliffordElement(sp.space, {m: 1.0})).ravel())
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     return int((s > tol * s[0]).sum())

@@ -19,23 +19,31 @@ from spinpairs.howe import (GLModel, OModel, SpModel, commutant, howe_check,
                             transfer_invariants, verify_generation)
 from spinpairs.pin import (all_commute, classify_extension, commutator_pairing, lift,
                            loop_lift_sign, project)
-from spinpairs.scalars import QI
 from spinpairs.spinor import build_spinors
 
 EQ_TOL = 1e-9
 
 
 def random_exact(rng, space, nterms=4):
-    terms = {int(rng.integers(1 << space.dim)): QI.of(int(rng.integers(-3, 4)),
-                                                      int(rng.integers(-3, 4)))
+    terms = {int(rng.integers(1 << space.dim)): complex(int(rng.integers(-3, 4)),
+                                                        int(rng.integers(-3, 4)))
              for _ in range(nterms)}
-    return CliffordElement(space, terms, exact=True)
+    return CliffordElement(space, terms)
+
+
+def gaussian_integer(x):
+    """x, once every coefficient is checked to be a Gaussian integer with parts
+    below 2**53, where complex doubles add and multiply integers exactly."""
+    for c in x.terms.values():
+        for part in (c.real, c.imag):
+            assert part == int(part) and abs(part) < 2 ** 53
+    return x
 
 
 def random_float(rng, space, nterms=4):
     terms = {int(rng.integers(1 << space.dim)): complex(rng.normal(), rng.normal())
              for _ in range(nterms)}
-    return CliffordElement(space, terms, exact=False)
+    return CliffordElement(space, terms)
 
 
 def random_isometry(space, rng, reflect=True):
@@ -62,7 +70,8 @@ def test_criterion_1_clifford_axioms():
         exact_elems = [random_exact(rng, space) for _ in range(200)]
         for i in range(0, 198):
             x, y, z = exact_elems[i], exact_elems[i + 1], exact_elems[i + 2]
-            assert ((x * y) * z).equals_exact(x * (y * z))
+            xy, yz = gaussian_integer(x * y), gaussian_integer(y * z)
+            assert gaussian_integer(xy * z).equals_exact(gaussian_integer(x * yz))
         rngf = np.random.default_rng(dim + 1)
         float_elems = [random_float(rngf, space) for _ in range(200)]
         for i in range(0, 198):
@@ -70,13 +79,12 @@ def test_criterion_1_clifford_axioms():
             assert ((x * y) * z).isclose(x * (y * z), EQ_TOL)
         for i in range(dim):
             for j in range(dim):
-                ei = CliffordElement(space, {1 << i: QI.of(1)}, exact=True)
-                ej = CliffordElement(space, {1 << j: QI.of(1)}, exact=True)
-                anti = ei * ej + ej * ei
-                want = CliffordElement(
-                    space, {0: QI.of(2 * space.norms[i] if i == j else 0)}, exact=True)
+                ei = CliffordElement(space, {1 << i: 1})
+                ej = CliffordElement(space, {1 << j: 1})
+                anti = gaussian_integer(ei * ej + ej * ei)
+                want = CliffordElement(space, {0: 2 * space.norms[i] if i == j else 0})
                 assert anti.equals_exact(want)
-                assert anti.to_float().isclose(want.to_float(), EQ_TOL)
+                assert anti.isclose(want, EQ_TOL)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s over budget"
     print(f"\nACCEPTANCE 1 PASS: Clifford axioms exact + 1e-9 on dims 2/4/8/12 "

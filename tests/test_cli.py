@@ -1,6 +1,8 @@
 """CLI runner: reports, schema, determinism, expected-table gating."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -29,10 +31,12 @@ def test_single_pair_end_to_end():
 
 
 def test_invalid_params_structured_error():
-    report = run(RunConfig([("O_C", (1, 2))]))
-    rec = report["pairs"][0]
-    assert rec["error"]["stage"] == "build"
-    assert rec["error"]["kind"] == "rejected by classification side-condition"
+    # 2.5 must not be read as the valid size 2
+    for params in [(1, 2), (2.5, 2)]:
+        report = run(RunConfig([("O_C", params)], stages=()))
+        rec = report["pairs"][0]
+        assert rec["error"]["stage"] == "build"
+        assert rec["error"]["kind"] == "rejected by classification side-condition"
 
 
 def test_report_schema_keys():
@@ -46,15 +50,10 @@ def test_report_schema_keys():
 
 
 def test_reports_byte_identical_across_runs():
-    cfg = RunConfig([("U", ((1, 1), (1, 0))), ("Sp_R", (1, 1))], seed=5)
+    cfg = RunConfig([("U", ((1, 1), (1, 0))), ("Sp_R", (1, 1))])
     a = json.dumps(run(cfg), indent=2, sort_keys=True)
     b = json.dumps(run(cfg), indent=2, sort_keys=True)
     assert a == b
-
-
-def test_exact_backend_selfcheck_recorded():
-    report = run(RunConfig([("GL_R", (1, 1))], backend="exact"))
-    assert report["pairs"][0]["exact_selfcheck"] is True
 
 
 def test_cli_verify_commute_exit_codes():
@@ -138,3 +137,33 @@ def test_cli_all_json_stdout_is_json(monkeypatch):
     report = json.loads(res.stdout)
     assert [r["family"] for r in report["pairs"]] == ["U"]
     assert "1 pairs verified" in res.stderr
+
+
+@pytest.mark.parametrize("family,params", [("GL_R", "1.5,1"), ("GL_R", "True,1"),
+                                           ("U", "(1.9,0),(1,0)")])
+def test_cli_rejects_non_integer_params(family, params):
+    # int() would run GL_R(1,1) or U((1,0),(1,0)) instead and exit 0
+    res = CliRunner().invoke(main, ["verify-commute", "--family", family, "--params", params])
+    assert res.exit_code == EXIT_CONFIG
+    assert "integers" in res.output
+
+
+@pytest.mark.parametrize("cmd", [["verify-commute", "--family", "U", "--params", "(1,0),(1,0)"],
+                                 ["classify-cover", "--family", "U", "--params", "(1,0),(1,0)"],
+                                 ["howe-check", "--family", "U", "--params", "(1,0),(1,0)"],
+                                 ["all"]])
+def test_cli_has_no_backend_or_seed_option(cmd):
+    runner = CliRunner()
+    usage = runner.invoke(main, [cmd[0], "--help"]).output
+    assert "--steps" in usage and "--backend" not in usage and "--seed" not in usage
+    for opt in (["--backend", "float"], ["--seed", "0"]):
+        assert runner.invoke(main, cmd + opt).exit_code == EXIT_CONFIG
+
+
+def test_table_report_matches_bench_reference():
+    # the byte-identity promise of `spinpairs all --out`, pinned by the benchmark
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    want = json.loads(reference.read_text())["table_report_sha256"]
+    pairs = [(fam, json.loads(pkey)) for (fam, pkey) in load_expected_table()]
+    text = json.dumps(run(RunConfig(pairs)), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -195,14 +195,14 @@ def test_embeddings_are_isometries_and_commute(family, params):
 
 def test_component_reps_exact_isometries_where_integer():
     # reflection-type representatives have integer entries: check exactly
-    for family, params in [("O_real", ((1, 1), (1, 1))), ("GL_R", (2, 2)),
+    for family, params in [("O_real", ((1, 1), (1, 1))), ("GL_R", (1, 1)), ("GL_R", (2, 2)),
                            ("O_C_real", (2, 2))]:
         spec = build_pair(family, params)
         B = np.diag(spec.space.norms)
         for rep in spec.G.component_reps + spec.Gp.component_reps:
             M = rep.map.matrix
             Mi = np.round(M.real).astype(int)
-            assert np.abs(M - Mi).max() < 1e-12
+            assert (M == Mi).all()
             assert (Mi.T @ B @ Mi == B).all()
 
 
@@ -253,18 +253,22 @@ def test_complexify_dimension_preserved_all_families():
             assert np.allclose(g.T @ g, B, atol=1e-9)
 
 
+def _complex_structure(spec, d):
+    # multiplication by i on E, the G-embedding of i * I_d; complexifying is a
+    # similarity, so its eigenvalues are those of the complexified structure
+    return spec.G.embed_group(1j * np.eye(d)).matrix
+
+
 def test_u1_pair_complex_structure_splits_evenly():
     spec = build_pair("U", ((1, 0), (1, 0)))
-    cpx = complexify(spec)
-    w = np.linalg.eigvals(cpx.complex_structure)
+    w = np.linalg.eigvals(_complex_structure(spec, 1))
     assert sorted(np.round(w.imag).astype(int).tolist()) == [-1, 1]
 
 
 def test_indefinite_u_pair_complex_structure_splits_evenly():
     # the complexified space of a unitary pair splits into conjugate halves
     spec = build_pair("U", ((1, 1), (1, 0)))
-    cpx = complexify(spec)
-    w = np.linalg.eigvals(cpx.complex_structure)
+    w = np.linalg.eigvals(_complex_structure(spec, 2))
     counts = sorted(np.round(w.imag).astype(int).tolist())
     assert counts == [-1, -1, 1, 1]
 

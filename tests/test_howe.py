@@ -79,7 +79,7 @@ def test_dense_and_sparse_exterior_actions_agree():
         blades = blades_of_degree(5, d)
         for trial in range(3):
             coords = rng.normal(size=len(blades)) + 1j * rng.normal(size=len(blades))
-            w = ExteriorElement(E, dict(zip(blades, coords)), exact=False)
+            w = ExteriorElement(E, dict(zip(blades, coords)))
             img = exterior_apply_map(g, w)
             want = M @ coords
             got = np.array([complex(img.coeff(m)) for m in blades])
@@ -162,10 +162,10 @@ def test_eta_antisymmetry():
     sp = model.space()
 
     def eta(a, b):
-        acc = ExteriorElement(sp, {}, exact=False)
+        acc = ExteriorElement(sp, {})
         for k in range(model.n):
-            u_a = ExteriorElement(sp, {1 << (k * model.m + a): 1.0}, exact=False)
-            u_b = ExteriorElement(sp, {1 << (k * model.m + b): 1.0}, exact=False)
+            u_a = ExteriorElement(sp, {1 << (k * model.m + a): 1.0})
+            u_b = ExteriorElement(sp, {1 << (k * model.m + b): 1.0})
             acc = acc + (u_a ^ u_b)
         return acc
 

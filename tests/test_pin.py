@@ -56,7 +56,7 @@ def test_rotation_blade_projects_to_rotation():
     E = real_space(2)
     theta = 0.9
     x = pin_element(CliffordElement(
-        E, {0: np.cos(theta / 2), 0b11: -np.sin(theta / 2)}, exact=False))
+        E, {0: np.cos(theta / 2), 0b11: -np.sin(theta / 2)}))
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     assert np.allclose(project(x).matrix, R, atol=1e-12)
 
@@ -168,8 +168,8 @@ def test_complex_orthogonal_witness_blades_commute_exactly():
     # realified O(2,C) x O(2,C) in O(4,4): the det -1 lifts are the blades
     # k1 k3 l1 l3 and k1 k2 l1 l2 in the k/l basis, and they commute
     E = real_space(4, 4)
-    g = blade(E, [0, 2, 4, 6], exact=True)
-    h = blade(E, [0, 1, 4, 5], exact=True)
+    g = blade(E, [0, 2, 4, 6])
+    h = blade(E, [0, 1, 4, 5])
     assert (g * h).equals_exact(h * g)
     # g projects to the embedded (negate e_1) ox id, h to id ox (negate f_m)
     spec = build_pair("O_C_real", (2, 2))
@@ -177,7 +177,7 @@ def test_complex_orthogonal_witness_blades_commute_exactly():
     refl_last = np.diag([1.0, -1.0]).astype(complex)
     for elt, want in ((g, spec.G.embed_group(refl_first)),
                       (h, spec.Gp.embed_group(refl_last))):
-        x = pin_element(elt.to_float())
+        x = pin_element(elt)
         assert np.allclose(project(x).matrix, want.matrix, atol=1e-12)
 
 
@@ -189,14 +189,14 @@ def test_gl_witness_blades_commute_exactly():
         E = real_space(d, d)
         s_idx = [j for j in range(m)] + [d + j for j in range(m)]
         t_idx = [i * m for i in range(n)] + [d + i * m for i in range(n)]
-        s = blade(E, sorted(s_idx), exact=True)
-        t = blade(E, sorted(t_idx), exact=True)
+        s = blade(E, sorted(s_idx))
+        t = blade(E, sorted(t_idx))
         assert (s * t).equals_exact(t * s)
         spec = build_pair("GL_R", (n, m))
-        x = pin_element(s.to_float())
+        x = pin_element(s)
         assert np.allclose(project(x).matrix, spec.G.component_reps[0].map.matrix,
                            atol=1e-12)
-        y = pin_element(t.to_float())
+        y = pin_element(t)
         assert np.allclose(project(y).matrix, spec.Gp.component_reps[0].map.matrix,
                            atol=1e-12)
 
@@ -209,15 +209,15 @@ def test_complex_orthogonal_witness_blades_asymmetric_sizes():
         E = real_space(d, d)
         g_idx = [(m - 1 - t) * n for t in range(m)]
         h_idx = list(range(n))
-        g = blade(E, sorted(g_idx) + sorted(d + i for i in g_idx), exact=True)
-        h = blade(E, sorted(h_idx) + sorted(d + i for i in h_idx), exact=True)
+        g = blade(E, sorted(g_idx) + sorted(d + i for i in g_idx))
+        h = blade(E, sorted(h_idx) + sorted(d + i for i in h_idx))
         assert (g * h).equals_exact(h * g)
         spec = build_pair("O_C_real", (n, m))
         refl_first = np.diag([-1.0 if k == 0 else 1.0 for k in range(n)]).astype(complex)
         refl_last = np.diag([-1.0 if k == m - 1 else 1.0 for k in range(m)]).astype(complex)
         for elt, want in ((g, spec.G.embed_group(refl_first)),
                           (h, spec.Gp.embed_group(refl_last))):
-            x = pin_element(elt.to_float())
+            x = pin_element(elt)
             assert np.allclose(project(x).matrix, want.matrix, atol=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_lift_parity_matches_determinant():
 def test_negative_control_anticommutes():
     # O(1) x O(2) in O(2): lifts e1e2 and e1 anticommute
     E = real_space(2)
-    x = pin_element(blade(E, [0, 1], exact=True).to_float())
+    x = pin_element(blade(E, [0, 1]))
     y = pin_element(basis_vector(E, 0))
     assert commutator_sign(x, y) == -1
     recs = commutator_pairing(build_pair("O_real", ((1, 0), (2, 0))))
@@ -429,7 +429,7 @@ def test_chevalley_intertwines_pin_actions():
             assert c.parity == 0
             w = CliffordElement(E, {int(rng.integers(1 << E.dim)):
                                     complex(rng.normal(), rng.normal())
-                                    for _ in range(4)}, exact=False)
+                                    for _ in range(4)})
             from spinpairs.clifford import ExteriorElement, chevalley_T_inv
             wext = chevalley_T_inv(w)
             lhs = chevalley_T(exterior_apply_map(project(c).matrix, wext))

@@ -66,10 +66,10 @@ def test_gamma_tilde_multiplicative_random():
     for _ in range(25):
         x = CliffordElement(sp.space, {int(RNG.integers(16)):
                                        complex(RNG.normal(), RNG.normal())
-                                       for _ in range(4)}, exact=False)
+                                       for _ in range(4)})
         y = CliffordElement(sp.space, {int(RNG.integers(16)):
                                        complex(RNG.normal(), RNG.normal())
-                                       for _ in range(4)}, exact=False)
+                                       for _ in range(4)})
         assert np.allclose(gamma_tilde(sp, x * y),
                            gamma_tilde(sp, x) @ gamma_tilde(sp, y), atol=1e-10)
 
@@ -144,7 +144,7 @@ def test_lie_to_clifford_bracket_identity():
         for k in range(4):
             ek = basis_vector(E, k)
             lhs = q * ek - ek * q
-            rhs = CliffordElement(E, {1 << i: X[i, k] for i in range(4)}, exact=False)
+            rhs = CliffordElement(E, {1 << i: X[i, k] for i in range(4)})
             assert lhs.isclose(rhs, 1e-9)
 
 
