@@ -596,12 +596,19 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _two(x) -> tuple:
+    # a wrong shape is a rejected pair, recorded per row, not an abort of the run
+    try:
+        a, b = x
+    except (TypeError, ValueError):
+        raise ClassificationError(f"expected two parameters, got {x!r}") from None
+    return a, b
+
+
 def normalize_params(family: str, params) -> tuple:
     if family in PAIR_PARAM_FAMILIES:
-        (a, b), (c, d) = params
-        return ((_integer(a), _integer(b)), (_integer(c), _integer(d)))
-    a, b = params
-    return (_integer(a), _integer(b))
+        return tuple(tuple(map(_integer, _two(side))) for side in _two(params))
+    return tuple(map(_integer, _two(params)))
 
 
 def build_pair(family: str, params) -> DualPairSpec:

@@ -395,12 +395,3 @@ def complexify(spec: DualPairSpec) -> ComplexifiedPair:
         [(r.name, conj(r.map.matrix)) for r in spec.G.component_reps],
         [(r.name, conj(r.map.matrix)) for r in spec.Gp.component_reps],
     )
-
-
-def complex_span_dimension(mats: Sequence[np.ndarray], tol: float = 1e-8) -> int:
-    """Dimension of the C-span of a family of matrices."""
-    A = np.array([np.asarray(m, dtype=complex).ravel() for m in mats])
-    s = np.linalg.svd(A, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int((s > tol * s[0]).sum())

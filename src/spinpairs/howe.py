@@ -50,65 +50,58 @@ class DimensionCapError(ValueError):
 # numerical span utilities
 # ---------------------------------------------------------------------------
 
-def nullspace(A: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal rows spanning ker(A).
+def _rank(s: np.ndarray) -> int:
+    """Number of singular values above the one rank cutoff of the package.
 
-    Constraint stacks are built from O(1)-scaled group and Lie matrices, so
-    the rank cutoff keeps an absolute floor: a stack whose largest singular
-    value is itself negligible is the zero map.
+    Spans are built from O(1)-scaled group and Lie matrices, operators and
+    wedges, so the cutoff keeps an absolute floor: a matrix whose largest
+    singular value is itself negligible is the zero map.
     """
+    return int((s > RANK_TOL * s.max(initial=1.0)).sum())
+
+
+def nullspace(A: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ker(A); only a wide A needs the full Vh."""
     A = np.asarray(A, dtype=complex)
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    r = int((s > cutoff).sum())
-    return vh[r:].conj()
+    rows, cols = A.shape
+    _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
+    return vh[_rank(s):].conj()
 
 
-def orthonormal_rows(rows: Sequence[np.ndarray], tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     A = np.asarray([np.asarray(r).ravel() for r in rows], dtype=complex)
     if A.shape[0] == 0:
         return A
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    if not s.size:
-        return np.zeros((0, A.shape[1]), dtype=complex)
-    # inputs are O(1)-scaled operators and wedges; an all-roundoff row set
-    # spans nothing
-    cutoff = tol * max(float(s[0]), 1.0)
-    r = int((s > cutoff).sum())
-    return vh[:r]
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[:_rank(s)]
 
 
-def span_rank(rows: Sequence[np.ndarray], tol: float = RANK_TOL) -> int:
-    return orthonormal_rows(rows, tol).shape[0]
+def span_rank(rows: Sequence[np.ndarray]) -> int:
+    return orthonormal_rows(rows).shape[0]
 
 
-def subspace_equal(A: Sequence[np.ndarray], B: Sequence[np.ndarray],
-                   tol: float = RANK_TOL) -> bool:
+def subspace_equal(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> bool:
     """Equal rank plus mutual containment of two operator/vector spans."""
-    ra = span_rank(A, tol)
-    rb = span_rank(B, tol)
+    ra = span_rank(A)
+    rb = span_rank(B)
     if ra != rb:
         return False
     joint = [np.asarray(x).ravel() for x in A] + [np.asarray(x).ravel() for x in B]
-    return span_rank(joint, tol) == ra
+    return span_rank(joint) == ra
 
 
-def joint_nullspace(constraints: Sequence[np.ndarray], dim: int,
-                    tol: float = RANK_TOL) -> np.ndarray:
+def joint_nullspace(constraints: Iterable[np.ndarray], dim: int) -> np.ndarray:
     """Orthonormal rows spanning the joint kernel, by successive restriction.
 
     Restricting each constraint to the running nullspace keeps every SVD at
     the current kernel width instead of stacking all constraints at once.
+    Constraints are drawn one at a time, and none once the kernel is empty.
     """
     basis = np.eye(dim, dtype=complex)
     for M in constraints:
+        basis = nullspace(M @ basis.T) @ basis
         if basis.shape[0] == 0:
             break
-        A = np.asarray(M, dtype=complex) @ basis.T
-        coeffs = nullspace(A, tol)
-        basis = coeffs @ basis
     return basis
 
 
@@ -193,17 +186,17 @@ class InvariantSpace:
 
 
 def invariant_space(space_c: QuadraticSpace, lie: Sequence[np.ndarray],
-                    comps: Sequence[np.ndarray], max_dim: int = EXTERIOR_DIM_CAP,
-                    ) -> InvariantSpace:
+                    comps: Sequence[np.ndarray]) -> InvariantSpace:
     """Joint nullspace of Lie derivations and fixed space of component actions."""
     N = space_c.dim
-    if N > max_dim:
-        raise DimensionCapError(f"exterior dimension {N} exceeds cap {max_dim}")
+    if N > EXTERIOR_DIM_CAP:
+        raise DimensionCapError(f"exterior dimension {N} exceeds cap {EXTERIOR_DIM_CAP}")
     bases: Dict[int, np.ndarray] = {}
     for d in range(N + 1):
         nd = len(blades_of_degree(N, d))
-        constraints = [exterior_derivation_matrix(X, d) for X in lie]
-        constraints += [exterior_group_matrix(g, d) - np.eye(nd) for g in comps]
+        constraints = itertools.chain(
+            (exterior_derivation_matrix(X, d) for X in lie),
+            (exterior_group_matrix(g, d) - np.eye(nd) for g in comps))
         bases[d] = joint_nullspace(constraints, nd)
     return InvariantSpace(space_c, bases)
 
@@ -352,23 +345,13 @@ class SpModel:
         return out
 
 
-def _element_in_span(w: ExteriorElement, basis: np.ndarray, blades: List[int],
-                     tol: float = 1e-7) -> bool:
-    v = np.array([complex(w.coeff(m)) for m in blades])
-    if basis.shape[0] == 0:
-        return bool(np.linalg.norm(v) <= tol)
-    proj = basis.conj() @ v
-    res = v - basis.T @ proj
-    return bool(np.linalg.norm(res) <= tol * max(1.0, np.linalg.norm(v)))
-
-
 def wedge_matrix(g: ExteriorElement, d_from: int, d_to: int) -> np.ndarray:
     """Matrix of (g ^ .) from degree d_from wedges to degree d_to wedges."""
     return _degree_matrix(g.space.dim, d_from, d_to, lambda S: (
         g ^ ExteriorElement(g.space, {S: 1.0})).terms.items())
 
 
-def verify_generation(model, tol: float = RANK_TOL) -> Dict[int, Tuple[int, int]]:
+def verify_generation(model) -> Dict[int, Tuple[int, int]]:
     """Per-degree (generated, invariant) dimensions; equality proves generation.
 
     The generated subalgebra is the wedge-span closure of the degree-2
@@ -376,16 +359,15 @@ def verify_generation(model, tol: float = RANK_TOL) -> Dict[int, Tuple[int, int]
     degree by degree.
     """
     N = model.dim
-    if 1 << N > (1 << EXTERIOR_DIM_CAP):
-        raise DimensionCapError(f"total exterior dimension 2^{N} over cap")
-    inv = invariant_space(model.space(), model.lie(), model.comps(), max_dim=N)
+    inv = invariant_space(model.space(), model.lie(), model.comps())
     gens = model.generators()
     # every generator must itself be invariant
     for g in gens:
         for d, basis in inv.degree_bases.items():
             part = g.grade_part(d)
             if not part.is_zero():
-                if not _element_in_span(part, basis, blades_of_degree(N, d)):
+                v = np.array([part.coeff(m) for m in blades_of_degree(N, d)])
+                if span_rank([*basis, v]) > basis.shape[0]:
                     raise RuntimeError("generator element is not invariant")
     report: Dict[int, Tuple[int, int]] = {}
     current: Dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=complex)}
@@ -399,7 +381,7 @@ def verify_generation(model, tol: float = RANK_TOL) -> Dict[int, Tuple[int, int]
             for g in gens:
                 W = wedge_matrix(g, d - 2, d)
                 rows.extend((current[d - 2] @ W.T))
-            basis = orthonormal_rows(rows, tol)
+            basis = orthonormal_rows(rows)
             current[d] = basis
             gen_dim = basis.shape[0]
         report[d] = (gen_dim, inv_dim)
@@ -425,34 +407,27 @@ def transfer_invariants(inv: InvariantSpace, sp: SpinorSpace) -> List[np.ndarray
     return ops
 
 
-def commutant(ops: Sequence[np.ndarray], dim: int, tol: float = RANK_TOL) -> List[np.ndarray]:
+def commutant(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
     """Orthonormal basis of {X : [X, op] = 0 for all ops} inside End(S).
 
     Row-major vectorization: vec(X o) = (I kron o^T) vec(X) and
     vec(o X) = (o kron I) vec(X).
     """
-    if not ops:
-        return [m.reshape(dim, dim) for m in np.eye(dim * dim, dtype=complex)]
-    rows = []
     eye = np.eye(dim)
-    for o in ops:
-        o = np.asarray(o)
-        rows.append(np.kron(eye, o.T) - np.kron(o, eye))
-    ns = nullspace(np.vstack(rows), tol)
-    return [v.reshape(dim, dim) for v in ns]
+    constraints = (np.kron(eye, o.T) - np.kron(o, eye) for o in map(np.asarray, ops))
+    return [v.reshape(dim, dim) for v in joint_nullspace(constraints, dim * dim)]
 
 
-def generated_algebra(ops: Sequence[np.ndarray], dim: int,
-                      tol: float = RANK_TOL) -> List[np.ndarray]:
+def generated_algebra(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
     """Orthonormal basis of the unital algebra generated by ops, by span closure."""
-    basis = orthonormal_rows([np.eye(dim, dtype=complex)] + [np.asarray(o) for o in ops], tol)
+    basis = orthonormal_rows([np.eye(dim, dtype=complex)] + [np.asarray(o) for o in ops])
     while True:
         prods = list(basis)
         for o in ops:
             om = np.asarray(o)
             for b in basis:
                 prods.append((om @ b.reshape(dim, dim)).ravel())
-        nxt = orthonormal_rows(prods, tol)
+        nxt = orthonormal_rows(prods)
         if nxt.shape[0] == basis.shape[0]:
             return [b.reshape(dim, dim) for b in basis]
         basis = nxt
@@ -501,7 +476,7 @@ def side_operators(spec: DualPairSpec, sp: SpinorSpace, cpx: ComplexifiedPair,
     return ops
 
 
-def howe_check(spec: DualPairSpec, dim_cap: int = HOWE_DIM_CAP) -> HoweReport:
+def howe_check(spec: DualPairSpec) -> HoweReport:
     """Double-commutant certificate for the spinorial representation.
 
     Verifies Comm<G~> = <G~'> in both directions and that the joint commutant
@@ -510,8 +485,8 @@ def howe_check(spec: DualPairSpec, dim_cap: int = HOWE_DIM_CAP) -> HoweReport:
     if spec.family in ORTHOGONAL_PAIR_FAMILIES:
         raise UnsupportedFamilyError(
             f"{spec.family}: orthogonal-pair duality is outside the engine's scope")
-    if spec.space.dim > dim_cap:
-        raise DimensionCapError(f"dim E = {spec.space.dim} exceeds duality cap {dim_cap}")
+    if spec.space.dim > HOWE_DIM_CAP:
+        raise DimensionCapError(f"dim E = {spec.space.dim} exceeds duality cap {HOWE_DIM_CAP}")
     cpx = complexify(spec)
     sp = build_spinors(cpx.space_c)
     dim = sp.dim_s

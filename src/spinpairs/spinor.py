@@ -140,14 +140,3 @@ def d_pi(sp: SpinorSpace, X: Union[LieElement, np.ndarray]) -> np.ndarray:
     else:
         q = lie_to_clifford(X, sp.space)
     return gamma_tilde(sp, q)
-
-
-def generated_operator_rank(sp: SpinorSpace, tol: float = 1e-8) -> int:
-    """Rank of the blade-image family {gamma~(e_M)}: 4^n when gamma~ is onto."""
-    dim = sp.dim_s
-    n2 = sp.space.dim
-    rows = []
-    for m in range(1 << n2):
-        rows.append(gamma_tilde(sp, CliffordElement(sp.space, {m: 1.0})).ravel())
-    s = np.linalg.svd(np.array(rows), compute_uv=False)
-    return int((s > tol * s[0]).sum())

@@ -39,6 +39,14 @@ def test_invalid_params_structured_error():
         assert rec["error"]["kind"] == "rejected by classification side-condition"
 
 
+@pytest.mark.parametrize("family,params", [("U", (1, 1)), ("GL_R", (1, 2, 3)), ("GL_R", 5)])
+def test_wrongly_shaped_params_are_build_errors(family, params):
+    # a malformed row is recorded, and the rest of the run goes on
+    report = run(RunConfig([(family, params), ("Sp_R", (1, 1))], stages=()))
+    stages = {r["family"]: r.get("error", {}).get("stage") for r in report["pairs"]}
+    assert stages == {family: "build", "Sp_R": None}
+
+
 def test_report_schema_keys():
     report = run(RunConfig([("GL_R", (1, 1))]))
     assert set(report) == {"version", "seed", "backend", "steps", "pairs"}

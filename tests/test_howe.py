@@ -1,9 +1,12 @@
 """Invariants, generator theorems, transfer, and the double-commutant checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spinpairs.clifford import complex_space, exterior_vector
+import spinpairs
+from spinpairs.clifford import ExteriorElement, complex_space, exterior_vector
 from spinpairs.families import build_pair
 from spinpairs.groups import complexify
 from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel,
@@ -199,6 +202,21 @@ def test_generator_theorems(model):
         assert gen_dim == inv_dim, (d, report)
 
 
+def test_verify_generation_rejects_a_non_invariant_generator():
+    # the reflection in comps negates e0 ^ e2, though so(2) kills it
+    class WithExtra(OModel):
+        def generators(self):
+            return super().generators() + [ExteriorElement(self.space(), {0b101: 1.0})]
+
+    with pytest.raises(RuntimeError):
+        verify_generation(WithExtra(2, 2))
+
+
+def test_verify_generation_caps_the_exterior_dimension():
+    with pytest.raises(DimensionCapError):
+        verify_generation(GLModel(1, 6, 7))
+
+
 # --- transfer and commutant -------------------------------------------------------
 
 def test_transfer_degree_zero_gives_identity():
@@ -239,6 +257,35 @@ def test_commutant_of_non_transpose_closed_generator():
     assert len(comm) == 2
     for c in comm:
         assert np.abs(c @ N - N @ c).max() < 1e-9
+
+
+def test_commutant_never_stacks_constraints(monkeypatch):
+    # one d^2-row constraint per SVD, restricted to the running kernel, and no
+    # tall SVD builds a full U factor
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("full_matrices", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    spn = build_spinors(complex_space(4))
+    d = spn.dim_s
+    assert len(commutant(spn.gammas, d)) == 1
+    assert len(calls) > 1
+    for (rows, cols), full in calls:
+        assert rows <= d * d
+        assert not (full and rows > cols)
+
+
+def test_rank_decisions_only_in_howe():
+    # every SVD, and with it every rank cutoff, lives in howe.py
+    for path in Path(spinpairs.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "full_matrices=True" not in text, path.name
+        if path.name != "howe.py":
+            assert "svd(" not in text, path.name
 
 
 def test_generated_algebra_of_gammas_is_full():

@@ -6,10 +6,10 @@ import pytest
 from spinpairs.clifford import (CliffordElement, basis_vector, blade, complex_space,
                                 complexify_element, real_space, scalar_element)
 from spinpairs.groups import LieElement, OrthogonalMap
+from spinpairs.howe import span_rank
 from spinpairs.pin import lift, pin_element
 from spinpairs.spinor import (SpinorSpace, build_spinors, d_pi, gamma_tilde,
-                              gamma_vector, generated_operator_rank, lie_to_clifford,
-                              pi_rep)
+                              gamma_vector, lie_to_clifford, pi_rep)
 
 RNG = np.random.default_rng(31)
 
@@ -50,7 +50,8 @@ def test_odd_dimension_rejected():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blade_images_linearly_independent(n):
     sp = build_spinors(complex_space(2 * n))
-    assert generated_operator_rank(sp) == 4 ** n
+    images = [gamma_tilde(sp, CliffordElement(sp.space, {m: 1.0})) for m in range(4 ** n)]
+    assert span_rank(images) == 4 ** n
 
 
 def test_gamma_tilde_unit_and_blades():
