@@ -91,30 +91,48 @@ def grade(mask: int) -> int:
     return mask.bit_count()
 
 
+def _reorder_mask(b: int) -> int:
+    """XOR over the set bits j of b of the mask of all bits above j.
+
+    Bit i of the result is the parity of the set bits of b below i, so
+    (a & mask).bit_count() has the parity of the transpositions that sort
+    the concatenation of a and b.
+    """
+    mask = 0
+    while b:
+        low = b & -b
+        mask ^= -(low << 1)
+        b ^= low
+    return mask
+
+
+def blade_sign_mask(b: int, space: QuadraticSpace) -> int:
+    """K(b): the sign of blade a times blade b is (-1)^popcount(a & K(b)).
+
+    Parities of popcounts add under XOR of masks, so the reordering parity
+    and the parity of shared negative-norm generators (a & b & negative)
+    fold into one mask that depends on b alone.
+    """
+    return _reorder_mask(b) ^ (b & space.negative_mask)
+
+
 def reorder_sign(a: int, b: int) -> int:
     """Sign from sorting the concatenation of blades a and b.
 
     For each set bit of b, count set bits of a strictly above it; the sign is
     (-1) to that total.
     """
-    total = 0
-    while b:
-        low = b & -b
-        total += (a & -(low << 1)).bit_count()
-        b ^= low
-    return -1 if total & 1 else 1
+    return -1 if (a & _reorder_mask(b)).bit_count() & 1 else 1
 
 
 def blade_product(a: int, b: int, space: QuadraticSpace) -> Tuple[int, int]:
     """Product of two basis blades: (mask a XOR b, integer coefficient).
 
     The coefficient is the reordering sign times the norms of the shared
-    generators; only the negative ones count, so one parity settles them.
+    generators; only the negative ones count, and blade_sign_mask folds both
+    signs into one parity.
     """
-    sign = reorder_sign(a, b)
-    if (a & b & space.negative_mask).bit_count() & 1:
-        sign = -sign
-    return a ^ b, sign
+    return a ^ b, -1 if (a & blade_sign_mask(b, space)).bit_count() & 1 else 1
 
 
 def _tau_sign(k: int) -> int:
@@ -137,8 +155,8 @@ class _BladeMap:
         self.space = space
         if _clean:
             self.terms = terms
-        else:
-            self.terms = _normalize_terms(terms)
+            return
+        self.terms = _normalize_terms(terms)
         top = 1 << space.dim
         if any(m >= top or m < 0 for m in self.terms):
             raise ValueError("blade mask out of range for the space")
@@ -242,6 +260,11 @@ def _normalize_terms(terms: Dict[int, complex]) -> Dict[int, complex]:
     return out
 
 
+def _dropped(out: Dict[int, complex]) -> Dict[int, complex]:
+    """Product terms above FLOAT_DROP_TOL; they are complex and in range already."""
+    return {m: c for m, c in out.items() if abs(c) > FLOAT_DROP_TOL}
+
+
 class CliffordElement(_BladeMap):
     """Sparse element of Cliff(E, b); `*` is the Clifford product."""
 
@@ -250,14 +273,15 @@ class CliffordElement(_BladeMap):
             return self.scale(other)
         self._binary_check(other)
         space = self.space
+        right = [(mb, cb, blade_sign_mask(mb, space)) for mb, cb in other.terms.items()]
         out: Dict[int, complex] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m, sign = blade_product(ma, mb, space)
+            for mb, cb, kb in right:
+                m = ma ^ mb
                 prev = out.get(m)
-                contrib = ca * cb if sign == 1 else -(ca * cb)
+                contrib = -(ca * cb) if (ma & kb).bit_count() & 1 else ca * cb
                 out[m] = contrib if prev is None else prev + contrib
-        return self._new(out)
+        return self._new(_dropped(out), clean=True)
 
     def alpha(self) -> "CliffordElement":
         """Grade involution: (-1)^k on grade-k parts."""
@@ -275,16 +299,17 @@ class ExteriorElement(_BladeMap):
 
     def __xor__(self, other) -> "ExteriorElement":
         self._binary_check(other)
+        right = [(mb, cb, _reorder_mask(mb)) for mb, cb in other.terms.items()]
         out: Dict[int, complex] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            for mb, cb, kb in right:
                 if ma & mb:
                     continue
                 m = ma | mb
-                contrib = ca * cb if reorder_sign(ma, mb) == 1 else -(ca * cb)
+                contrib = -(ca * cb) if (ma & kb).bit_count() & 1 else ca * cb
                 prev = out.get(m)
                 out[m] = contrib if prev is None else prev + contrib
-        return self._new(out)
+        return self._new(_dropped(out), clean=True)
 
 
 # -- constructors -----------------------------------------------------------
@@ -304,12 +329,19 @@ def blade(space: QuadraticSpace, indices: Iterable[int]) -> CliffordElement:
     return CliffordElement(space, {mask: 1})
 
 
+def _vector_terms(space: QuadraticSpace, coords: Sequence) -> Dict[int, complex]:
+    if len(coords) != space.dim:
+        raise ValueError(f"{len(coords)} coordinates for a space of dimension {space.dim}")
+    return {1 << i: c for i, c in enumerate(np.asarray(coords, dtype=complex).tolist())
+            if abs(c) > FLOAT_DROP_TOL}
+
+
 def from_vector(space: QuadraticSpace, coords: Sequence) -> CliffordElement:
-    return CliffordElement(space, {1 << i: c for i, c in enumerate(coords)})
+    return CliffordElement(space, _vector_terms(space, coords), _clean=True)
 
 
 def exterior_vector(space: QuadraticSpace, coords: Sequence) -> ExteriorElement:
-    return ExteriorElement(space, {1 << i: c for i, c in enumerate(coords)})
+    return ExteriorElement(space, _vector_terms(space, coords), _clean=True)
 
 
 def vector_coords(x: CliffordElement) -> List[complex]:

@@ -97,12 +97,12 @@ def joint_nullspace(constraints: Iterable[np.ndarray], dim: int) -> np.ndarray:
     the current kernel width instead of stacking all constraints at once.
     Constraints are drawn one at a time, and none once the kernel is empty.
     """
-    basis = np.eye(dim, dtype=complex)
+    basis = None
     for M in constraints:
-        basis = nullspace(M @ basis.T) @ basis
+        basis = nullspace(M) if basis is None else nullspace(M @ basis.T) @ basis
         if basis.shape[0] == 0:
             break
-    return basis
+    return np.eye(dim, dtype=complex) if basis is None else basis
 
 
 # ---------------------------------------------------------------------------

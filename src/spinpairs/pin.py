@@ -141,27 +141,29 @@ def lift(g: OrthogonalMap, validate: bool = False) -> PinElement:
     """
     space = g.space
     n = space.dim
-    B = np.diag(np.array(space.norms, dtype=float))
+    norms = np.array(space.norms, dtype=float)
+    eye = np.eye(n)
     cur = np.asarray(g.matrix, dtype=complex).copy()
     x = scalar_element(space, 1.0)
     parity = 0
     nu = 1
     for i in range(n):
-        e = np.eye(n)[i]
+        e = eye[i]
         w = cur[:, i]
         v = w - e
         if np.abs(v).max() < SKIP_TOL:
             continue
-        bvv = v @ B @ v
+        bvv = v @ (norms * v)
         if abs(bvv) >= PIVOT_TOL:
             refls = [v]
         else:
             v2 = w + e
-            if abs(v2 @ B @ v2) < PIVOT_TOL:
+            if abs(v2 @ (norms * v2)) < PIVOT_TOL:
                 raise LiftError(f"isotropic pivot at basis index {i}")
             refls = [v2, e]
         for r in refls:
-            brr = r @ B @ r
+            br = norms * r
+            brr = r @ br
             if space.field_kind == "real":
                 rhat = r.real / np.sqrt(abs(brr))
                 nu *= 1 if brr.real > 0 else -1
@@ -169,9 +171,10 @@ def lift(g: OrthogonalMap, validate: bool = False) -> PinElement:
                 rhat = r / np.sqrt(brr + 0j)
             x = x * from_vector(space, rhat)
             parity ^= 1
-            R = np.eye(n) - 2.0 * np.outer(r, B @ r) / brr
-            cur = R @ cur
-    if not np.allclose(cur, np.eye(n), atol=1e-7):
+            # the reflection I - 2 r (B r)^T / b(r, r), applied as a rank-one update
+            cur -= np.outer(r, (2.0 / brr) * (br @ cur))
+    # numpy's allclose rule at atol 1e-7, entrywise; a NaN fails it
+    if not (np.abs(cur - eye) <= 1e-7 + 1e-5 * eye).all():
         raise LiftError("reflection factorization did not terminate at the identity")
     out = PinElement(x, parity, nu)
     if validate:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import spinpairs
 from spinpairs.clifford import (MAX_DIM, CliffordElement, ExteriorElement,
                                 QuadraticSpace, SpaceMismatchError, basis_vector, blade,
-                                blade_product, chevalley_T, chevalley_T_inv,
+                                blade_product, blade_sign_mask, chevalley_T, chevalley_T_inv,
                                 chevalley_T_vectors, complex_space, complexify_element,
                                 direct_sum, exterior_apply_map, exterior_vector,
                                 from_vector, graded_tensor_mul, grade, real_space,
@@ -94,9 +94,30 @@ def _blade_pairs(draw):
 @settings(max_examples=200, deadline=None)
 def test_blade_kernel_matches_bubble_sort_oracle(case):
     norms, a, b = case
+    space = QuadraticSpace("real", norms)
     reorder, mask, coeff = _oracle_blade_product(a, b, norms)
     assert reorder_sign(a, b) == reorder
-    assert blade_product(a, b, QuadraticSpace("real", norms)) == (mask, coeff)
+    assert blade_product(a, b, space) == (mask, coeff)
+    assert (a & blade_sign_mask(b, space)).bit_count() & 1 == (coeff < 0)
+    wedge = ExteriorElement(space, {a: 1}) ^ ExteriorElement(space, {b: 1})
+    assert wedge.terms == ({} if a & b else {a | b: complex(reorder)})
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (4, 4), (1, 5)])
+def test_mul_bit_identical_to_blade_product_loop(pq):
+    # the reference sums each coefficient in the product's own order, so the
+    # float product must match it bit for bit
+    space = real_space(*pq)
+    rng = np.random.default_rng(sum(pq))
+    for _ in range(10):
+        x, y = random_float_element(rng, space, 40), random_float_element(rng, space, 40)
+        want = {}
+        for ma, ca in x.terms.items():
+            for mb, cb in y.terms.items():
+                m, sign = blade_product(ma, mb, space)
+                contrib = ca * cb if sign == 1 else -(ca * cb)
+                want[m] = want[m] + contrib if m in want else contrib
+        assert (x * y).equals_exact(CliffordElement(space, want))
 
 
 @st.composite
@@ -217,6 +238,13 @@ def test_tau_fixes_vectors():
     E = real_space(3)
     v = from_vector(E, [1, 2, -3])
     assert v.tau().equals_exact(v)
+
+
+@pytest.mark.parametrize("make", [from_vector, exterior_vector])
+@pytest.mark.parametrize("coords", [[1, 2], [1, 2, 3, 4]])
+def test_vector_constructors_reject_wrong_length(make, coords):
+    with pytest.raises(ValueError, match="space of dimension 3"):
+        make(real_space(3), coords)
 
 
 @given(st.integers(0, 200))

@@ -7,7 +7,7 @@ from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, b
                                 exterior_vector, chevalley_T, real_space, scalar_element)
 from spinpairs.families import build_pair
 from spinpairs.groups import LoopGenerator, OrthogonalMap
-from spinpairs.pin import (MAX_PATH_STEPS, NotPinError, PinElement, all_commute,
+from spinpairs.pin import (MAX_PATH_STEPS, LiftError, NotPinError, PinElement, all_commute,
                            canonical_sign, classify_extension, cocycle, commutator_pairing,
                            commutator_sign, label_from_loop_signs, lift, loop_lift_sign,
                            pin_element, project, section)
@@ -125,6 +125,18 @@ def test_lift_round_trip(pq):
         g = random_isometry(E, rng)
         x = lift(g)
         assert np.allclose(project(x).matrix, g.matrix, atol=1e-9)
+
+
+def test_lift_terminal_identity_check():
+    # a non-isometry cannot be factored into reflections; a rounding-sized
+    # defect still lifts and projects back
+    E = real_space(2, 2)
+    with pytest.raises(LiftError, match="did not terminate"):
+        lift(OrthogonalMap(E, np.eye(4) + 1e-3 * np.ones((4, 4))))
+    with np.errstate(invalid="ignore"), pytest.raises(LiftError, match="did not terminate"):
+        lift(OrthogonalMap(E, np.full((4, 4), np.nan)))
+    g = np.eye(4) + 1e-12 * np.ones((4, 4))
+    assert np.allclose(project(lift(OrthogonalMap(E, g))).matrix, g, atol=1e-9)
 
 
 def test_fiber_has_two_elements():
