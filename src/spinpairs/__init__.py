@@ -8,14 +8,13 @@ multiplicity-freely under the lifted pair.
 
 from .clifford import (CliffordElement, ExteriorElement, QuadraticSpace, blade,
                        blade_product, basis_vector, chevalley_T, chevalley_T_inv,
-                       complex_space, complexify_element, direct_sum, from_vector,
-                       graded_tensor_mul, real_space, scalar_element, tensor_to_sum)
+                       complex_space, complexify_element, from_vector, real_space,
+                       scalar_element)
 from .groups import (ClassificationError, ComplexifiedPair, DualPairSpec, LieElement,
-                     OrthogonalMap, complexify, realify_complex, realify_quaternionic)
+                     OrthogonalMap, complexify, realify_quaternionic)
 from .families import FAMILY_BUILDERS, MINIMAL_PARAMS, build_pair
-from .pin import (ExtensionClass, PinElement, classify_extension, cocycle,
-                  commutator_pairing, lift, loop_lift_sign, pin_element, project,
-                  section)
+from .pin import (ExtensionClass, PinElement, classify_extension, commutator_pairing, lift,
+                  loop_lift_sign, pin_element, project)
 from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, lie_to_clifford, pi_rep
 from .howe import (GLModel, HoweReport, OModel, SpModel, commutant, generated_algebra,
                    howe_check, invariants, transfer_invariants, verify_generation)

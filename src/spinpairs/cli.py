@@ -13,7 +13,6 @@ import ast
 import importlib.resources
 import json
 import sys
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -35,7 +34,6 @@ class RunConfig:
     pairs: List[Tuple[str, tuple]]
     steps: int = 256
     stages: Tuple[str, ...] = ("commute", "cover", "howe")
-    timings: bool = False
 
 
 def load_expected_table() -> dict:
@@ -53,7 +51,6 @@ def _plain(p):
 def run_pair(family: str, params, config: RunConfig) -> dict:
     """One pair record; failures become structured errors, never aborts."""
     record: dict = {"family": family, "params": _plain(params)}
-    t0 = time.monotonic()
     try:
         record["params"] = _plain(normalize_params(family, params))
         spec = build_pair(family, params)
@@ -96,8 +93,6 @@ def run_pair(family: str, params, config: RunConfig) -> dict:
         except Exception as exc:  # noqa: BLE001
             record["error"] = {"stage": "howe", "kind": type(exc).__name__, "message": str(exc)}
             return record
-    if config.timings:
-        record["timing_ms"] = int(1000 * (time.monotonic() - t0))
     return record
 
 
@@ -201,8 +196,6 @@ _common = [
                  help="path-lifting subdivisions"),
     click.option("--out", type=click.Path(), default=None, help="write the JSON report here"),
     click.option("--json", "as_json", is_flag=True, help="print the JSON report"),
-    click.option("--timings", is_flag=True, help="include wall-clock timings (breaks "
-                                                 "byte-stability of reports)"),
 ]
 
 
@@ -213,10 +206,10 @@ def _with_common(fn):
 
 
 def _single_pair_command(stages: Tuple[str, ...]):
-    def runner(family, params, steps, out, as_json, timings):
+    def runner(family, params, steps, out, as_json):
         try:
             parsed = _parse_params(family, params)
-            config = RunConfig([(family, parsed)], steps=steps, stages=stages, timings=timings)
+            config = RunConfig([(family, parsed)], steps=steps, stages=stages)
             report = run(config)
         except (ClassificationError, click.UsageError) as exc:
             click.echo(f"configuration error: {exc}", err=True)
@@ -272,12 +265,11 @@ def invariants_cmd(family, params, side, as_json):
 @click.option("--steps", type=STEPS, default=256, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--timings", is_flag=True)
-def all_cmd(steps, out, as_json, timings):
+def all_cmd(steps, out, as_json):
     """Run every expected-table row and gate on the theorem predictions."""
     table = load_expected_table()
     pairs = [(fam, json.loads(pkey)) for (fam, pkey) in table]
-    config = RunConfig(pairs, steps=steps, timings=timings)
+    config = RunConfig(pairs, steps=steps)
     report = run(config)
     problems = compare_with_expected(report)
     _emit(report, out, as_json, problems)

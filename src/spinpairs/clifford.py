@@ -77,12 +77,6 @@ def complex_space(n: int) -> QuadraticSpace:
     return QuadraticSpace("complex", (1,) * n)
 
 
-def direct_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> QuadraticSpace:
-    if s1.field_kind != s2.field_kind:
-        raise SpaceMismatchError("cannot sum spaces over different fields")
-    return QuadraticSpace(s1.field_kind, s1.norms + s2.norms)
-
-
 # ---------------------------------------------------------------------------
 # blade arithmetic
 # ---------------------------------------------------------------------------
@@ -172,9 +166,6 @@ class _BladeMap:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def grades(self) -> List[int]:
-        return sorted({grade(m) for m in self.terms})
 
     def parity(self) -> Optional[int]:
         """0 even, 1 odd, None if not parity-homogeneous (or zero)."""
@@ -355,52 +346,8 @@ def vector_coords(x: CliffordElement) -> List[complex]:
 
 
 # ---------------------------------------------------------------------------
-# graded tensor product  Cliff(E1) ox Cliff(E2) = Cliff(E1 + E2)
-# ---------------------------------------------------------------------------
-
-def embed_factor(x: CliffordElement, total: QuadraticSpace, offset: int) -> CliffordElement:
-    """Canonical algebra embedding of a factor into Cliff(E1 + E2) by index shift."""
-    return CliffordElement(total, {m << offset: c for m, c in x.terms.items()})
-
-
-def graded_tensor_mul(a: Tuple[CliffordElement, CliffordElement],
-                      b: Tuple[CliffordElement, CliffordElement],
-                      ) -> Tuple[CliffordElement, CliffordElement]:
-    """Multiply two decomposable tensors (c1 ox c2)(d1 ox d2) by the graded sign rule.
-
-    All four factors must be parity-homogeneous; the rule is
-    (c1 ox c2)(d1 ox d2) = (-1)^{v1 u2} (c1 d1) ox (c2 d2) with v1 the parity
-    of d1 and u2 the parity of c2.  The sign lands on the first component of
-    the returned pair.
-    """
-    c1, c2 = a
-    d1, d2 = b
-    v1 = d1.parity()
-    u2 = c2.parity()
-    if v1 is None or u2 is None or c1.parity() is None or d2.parity() is None:
-        raise ValueError("graded tensor product requires parity-homogeneous factors")
-    p1 = c1 * d1
-    p2 = c2 * d2
-    if v1 & u2 & 1:
-        p1 = -p1
-    return p1, p2
-
-
-def tensor_to_sum(c1: CliffordElement, c2: CliffordElement,
-                  total: Optional[QuadraticSpace] = None) -> CliffordElement:
-    """Image of c1 ox c2 in Cliff(E1 + E2): embed both factors and multiply."""
-    if total is None:
-        total = direct_sum(c1.space, c2.space)
-    return embed_factor(c1, total, 0) * embed_factor(c2, total, c1.space.dim)
-
-
-# ---------------------------------------------------------------------------
 # complexification
 # ---------------------------------------------------------------------------
-
-def complexified_space(space: QuadraticSpace) -> QuadraticSpace:
-    return complex_space(space.dim)
-
 
 def complexify_element(x: CliffordElement) -> CliffordElement:
     """Algebra inclusion Cliff(E, b) -> Cliff(E_C, b_C) on blade coefficients.
@@ -411,7 +358,7 @@ def complexify_element(x: CliffordElement) -> CliffordElement:
     if x.space.field_kind == "complex":
         return x
     neg = x.space.negative_mask
-    return CliffordElement(complexified_space(x.space),
+    return CliffordElement(complex_space(x.space.dim),
                            {m: c * 1j ** (m & neg).bit_count() for m, c in x.terms.items()})
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import QuadraticSpace, complex_space, real_space
+from .clifford import MAX_DIM, QuadraticSpace, complex_space, real_space
 from .groups import (ClassificationError, ComponentRep, DualPairSpec, LieElement,
                      LoopGenerator, OrthogonalMap, SideSpec, complex_orthonormalize,
                      fixed_real_basis, orthogonalize_real_gram, quaternion_J,
@@ -570,6 +570,13 @@ FAMILY_BUILDERS: Dict[str, Callable] = {
 
 PAIR_PARAM_FAMILIES = {"O_real", "U", "Sp_H"}
 
+# dim E = DIM_FACTOR * d1 * d2 with d_i = p_i + q_i or n_i: the ambient
+# signatures of the module docstring, known before anything is built
+DIM_FACTOR: Dict[str, int] = {
+    "O_real": 1, "U": 2, "Sp_R": 4, "O_C_real": 2, "Sp_C_real": 8, "Sp_H": 4, "O_star": 4,
+    "GL_R": 2, "GL_C": 4, "GL_H": 8, "O_C": 1, "Sp_C": 4, "GL_C_complex": 2,
+}
+
 # smallest parameters at which each family is an honest member of the
 # classification (size-1 exclusions respected)
 MINIMAL_PARAMS: Dict[str, tuple] = {
@@ -611,8 +618,23 @@ def normalize_params(family: str, params) -> tuple:
     return tuple(map(_integer, _two(params)))
 
 
+def ambient_dim(family: str, params: tuple) -> int:
+    """dim E of a family instance, from its normalized parameters."""
+    if family in PAIR_PARAM_FAMILIES:
+        (p1, q1), (p2, q2) = _pair_params(params)
+        d1, d2 = p1 + q1, p2 + q2
+    else:
+        d1, d2 = _int_params(params)
+    return DIM_FACTOR[family] * d1 * d2
+
+
 def build_pair(family: str, params) -> DualPairSpec:
-    """Instantiate one classified family; raises ClassificationError on excluded sizes."""
+    """Instantiate one classified family; raises ClassificationError on excluded sizes,
+    and on an ambient dimension above clifford.MAX_DIM before the builder runs."""
     if family not in FAMILY_BUILDERS:
         raise ClassificationError(f"unknown family {family!r}")
-    return FAMILY_BUILDERS[family](normalize_params(family, params))
+    params = normalize_params(family, params)
+    dim = ambient_dim(family, params)
+    if dim > MAX_DIM:
+        raise ClassificationError(f"{family}{params}: ambient dimension {dim} above {MAX_DIM}")
+    return FAMILY_BUILDERS[family](params)

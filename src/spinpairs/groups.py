@@ -4,21 +4,22 @@ Everything downstream (lifting, path tracking, invariant solves) consumes
 isometries expressed in the distinguished orthogonal basis of a
 :class:`~spinpairs.clifford.QuadraticSpace`, so this module concentrates the
 change-of-basis bookkeeping: realifications of complex and quaternionic
-spaces, split bases for type-II pairs, and deterministic orthogonalization of
+matrices, split bases for type-II pairs, and deterministic orthogonalization of
 tensor-product forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .clifford import QuadraticSpace, complex_space, real_space
+from .clifford import QuadraticSpace, complex_space
 
 ISOMETRY_TOL = 1e-9
+ORTHONORMALIZE_TOL = 1e-10
 
 
 class ClassificationError(ValueError):
@@ -140,15 +141,6 @@ class DualPairSpec:
             return self.Gp
         raise ValueError(f"unknown side {which!r}")
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "params": _params_to_json(self.params)}
-
-
-def _params_to_json(params):
-    if isinstance(params, tuple):
-        return [_params_to_json(p) for p in params]
-    return params
-
 
 # ---------------------------------------------------------------------------
 # realification helpers
@@ -158,33 +150,6 @@ def realify_complex_matrix(G: np.ndarray) -> np.ndarray:
     """Real matrix of a C-linear map in the realified basis (w_a; i w_a)."""
     G = np.asarray(G, dtype=complex)
     return np.block([[G.real, -G.imag], [G.imag, G.real]])
-
-
-def realify_complex(space_c: QuadraticSpace,
-                    tensor_shape: Optional[Tuple[int, int]] = None,
-                    ) -> Tuple[QuadraticSpace, Dict[str, list]]:
-    """Realify a complex orthogonal space to signature (n, n).
-
-    The real basis is (k_1..k_n, l_1..l_n) with k_a the a-th complex basis
-    vector and l_a = i * k_a; the k's have norm +1 and the l's norm -1 for
-    Re(b).  With ``tensor_shape=(n, m)`` the complex index a is read through
-    the tensor layout a(s, t) = (m - t)n + s (1-based), and the returned
-    index map records which (s, t) each k/l slot carries.
-    """
-    if space_c.field_kind != "complex":
-        raise ValueError("realify_complex expects a complex space")
-    n = space_c.dim
-    index_map: Dict[str, list] = {"k": list(range(n)), "l": list(range(n))}
-    if tensor_shape is not None:
-        ns, ms = tensor_shape
-        if ns * ms != n:
-            raise ValueError("tensor shape does not match dimension")
-        slots = [None] * n
-        for s in range(ns):
-            for t in range(ms):
-                slots[(ms - 1 - t) * ns + s] = (s + 1, t + 1)
-        index_map = {"k": slots, "l": slots}
-    return real_space(n, n), index_map
 
 
 def tensor_kl_permutation(n: int, m: int) -> np.ndarray:
@@ -220,11 +185,6 @@ def quaternion_matrix_product(x: Tuple[np.ndarray, np.ndarray],
 
 def quaternion_J(n: int) -> np.ndarray:
     return np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-
-
-def commutes_with_J(g: np.ndarray, J: np.ndarray, tol: float = 1e-9) -> bool:
-    """g J = J conj(g): the image of a quaternionic-linear map."""
-    return bool(np.allclose(g @ J, J @ g.conj(), atol=tol))
 
 
 def fixed_real_basis(J1: np.ndarray, J2: np.ndarray) -> np.ndarray:
@@ -284,7 +244,7 @@ def orthogonalize_real_gram(M: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]
     return P, norms
 
 
-def complex_orthonormalize(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def complex_orthonormalize(M: np.ndarray) -> np.ndarray:
     """P with P^T M P = I for a non-degenerate complex symmetric bilinear M.
 
     Gram-Schmidt with norm pivoting; isotropic leftovers are resolved through
@@ -307,7 +267,7 @@ def complex_orthonormalize(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         reduced = [reduce(v) for v in pending]
         norms = [abs(b(v, v)) for v in reduced]
         i = int(np.argmax(norms))
-        if norms[i] > tol:
+        if norms[i] > ORTHONORMALIZE_TOL:
             v = reduced[i]
             w = v / np.sqrt(b(v, v))
             done.append(w)
@@ -320,7 +280,7 @@ def complex_orthonormalize(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                 val = abs(b(reduced[a], reduced[c]))
                 if val > best:
                     best, bi, bj = val, a, c
-        if best <= tol:
+        if best <= ORTHONORMALIZE_TOL:
             raise ValueError("degenerate complex symmetric form")
         v = reduced[bi] + reduced[bj]
         w = v / np.sqrt(b(v, v))
@@ -351,7 +311,6 @@ class ComplexifiedPair:
 
     spec: DualPairSpec
     space_c: QuadraticSpace
-    scales: np.ndarray            # iota(e_k) = scales[k] * e~_k
     lie_G: List[np.ndarray]
     lie_Gp: List[np.ndarray]
     comps_G: List[Tuple[str, np.ndarray]]
@@ -372,10 +331,8 @@ def complexify(spec: DualPairSpec) -> ComplexifiedPair:
     pass through unchanged.  dim E_C always equals dim_R E.
     """
     if spec.is_complex_ambient:
-        n = spec.space.dim
-        ident = np.ones(n, dtype=complex)
         return ComplexifiedPair(
-            spec, spec.space, ident,
+            spec, spec.space,
             [np.asarray(g.matrix, dtype=complex) for g in spec.G.lie_generators],
             [np.asarray(g.matrix, dtype=complex) for g in spec.Gp.lie_generators],
             [(r.name, np.asarray(r.map.matrix, dtype=complex)) for r in spec.G.component_reps],
@@ -389,7 +346,7 @@ def complexify(spec: DualPairSpec) -> ComplexifiedPair:
         return C @ np.asarray(M, dtype=complex) @ Cinv
 
     return ComplexifiedPair(
-        spec, complex_space(spec.space.dim), scales,
+        spec, complex_space(spec.space.dim),
         [conj(g.matrix) for g in spec.G.lie_generators],
         [conj(g.matrix) for g in spec.Gp.lie_generators],
         [(r.name, conj(r.map.matrix)) for r in spec.G.component_reps],

@@ -32,6 +32,7 @@ from .pin import lift
 from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, pi_rep
 
 RANK_TOL = 1e-8
+COMMUTATIVITY_TOL = 1e-7
 HOWE_DIM_CAP = 12
 EXTERIOR_DIM_CAP = 12
 
@@ -433,10 +434,11 @@ def generated_algebra(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
         basis = nxt
 
 
-def is_commutative(ops: Sequence[np.ndarray], tol: float = 1e-7) -> bool:
+def is_commutative(ops: Sequence[np.ndarray]) -> bool:
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
-            if not np.allclose(a @ b, b @ a, atol=tol * max(1.0, np.abs(a).max() * np.abs(b).max())):
+            scale = max(1.0, np.abs(a).max() * np.abs(b).max())
+            if not np.allclose(a @ b, b @ a, atol=COMMUTATIVITY_TOL * scale):
                 return False
     return True
 

@@ -24,6 +24,7 @@ from .clifford import (CliffordElement, QuadraticSpace, basis_vector, from_vecto
 from .groups import DualPairSpec, LoopGenerator, OrthogonalMap, SideSpec
 
 PIN_TOL = 1e-9
+COMMUTATOR_TOL = 1e-7
 PIVOT_TOL = 1e-8
 SKIP_TOL = 1e-10
 DEFAULT_PATH_STEPS = 256
@@ -86,8 +87,7 @@ def _scalar_sign(x: CliffordElement, tol: float) -> Optional[int]:
     return None
 
 
-def pin_element(value: CliffordElement, validate: bool = True,
-                tol: float = PIN_TOL) -> PinElement:
+def pin_element(value: CliffordElement) -> PinElement:
     """Certify a Clifford element as a Pin member.
 
     Checks parity homogeneity, the two-valued spinor norm, and that twisted
@@ -96,21 +96,20 @@ def pin_element(value: CliffordElement, validate: bool = True,
     parity = value.parity()
     if parity is None:
         raise NotPinError("element is not parity-homogeneous")
-    nu = _scalar_sign(value * value.tau(), tol)
+    nu = _scalar_sign(value * value.tau(), PIN_TOL)
     if nu is None:
         raise NotPinError("x tau(x) is not a +-1 scalar")
     x = PinElement(value, parity, nu)
-    if validate:
-        xinv = x.inverse_value()
-        ax = value.alpha()
-        for k in range(value.space.dim):
-            img = ax * basis_vector(value.space, k) * xinv
-            if any(grade(m) != 1 for m in img.terms):
-                raise NotPinError("twisted conjugation does not preserve the vector space")
+    xinv = x.inverse_value()
+    ax = value.alpha()
+    for k in range(value.space.dim):
+        img = ax * basis_vector(value.space, k) * xinv
+        if any(grade(m) != 1 for m in img.terms):
+            raise NotPinError("twisted conjugation does not preserve the vector space")
     return x
 
 
-def project(x: PinElement, tol: float = PIN_TOL) -> OrthogonalMap:
+def project(x: PinElement) -> OrthogonalMap:
     """The covering map: columns are alpha(x) e_k x^{-1} in basis coordinates."""
     space = x.space
     n = space.dim
@@ -125,13 +124,13 @@ def project(x: PinElement, tol: float = PIN_TOL) -> OrthogonalMap:
         cols.append(vector_coords(img))
     M = np.array(cols).T
     if space.field_kind == "real":
-        if np.abs(M.imag).max() > tol:
+        if np.abs(M.imag).max() > PIN_TOL:
             raise NotPinError("projection of a real-space element must be real")
         M = M.real
     return OrthogonalMap(space, M)
 
 
-def lift(g: OrthogonalMap, validate: bool = False) -> PinElement:
+def lift(g: OrthogonalMap) -> PinElement:
     """One Pin preimage of an isometry via Cartan-Dieudonne factorization.
 
     Walks the basis in order; at step i reflects g(e_i) onto e_i along
@@ -176,14 +175,11 @@ def lift(g: OrthogonalMap, validate: bool = False) -> PinElement:
     # numpy's allclose rule at atol 1e-7, entrywise; a NaN fails it
     if not (np.abs(cur - eye) <= 1e-7 + 1e-5 * eye).all():
         raise LiftError("reflection factorization did not terminate at the identity")
-    out = PinElement(x, parity, nu)
-    if validate:
-        pin_element(x)
-    return out
+    return PinElement(x, parity, nu)
 
 
 def canonical_sign(x: PinElement) -> PinElement:
-    """Deterministic section sign: largest-magnitude coefficient made positive.
+    """Deterministic sign of a lift: largest-magnitude coefficient made positive.
 
     Largest by magnitude with lowest blade mask as tie-break; positive means
     positive real part, falling back to positive imaginary part when the
@@ -202,34 +198,28 @@ def canonical_sign(x: PinElement) -> PinElement:
     return x
 
 
-def section(g: OrthogonalMap) -> PinElement:
-    """The measurable section used for 2-cocycles: sign-normalized lift."""
-    return canonical_sign(lift(g))
-
-
-def commutator_sign(x: PinElement, y: PinElement, tol: float = PIN_TOL) -> int:
+def commutator_sign(x: PinElement, y: PinElement) -> int:
     """[x, y] = x y x^{-1} y^{-1}, which must be a central +-1."""
     c = (x * y * x.inverse() * y.inverse()).value
-    s = _scalar_sign(c, max(tol, 1e-7))
+    s = _scalar_sign(c, COMMUTATOR_TOL)
     if s is None:
         raise NotPinError("commutator of Pin lifts is not +-1; not a dual pair candidate")
     return s
 
 
-def commutator_pairing(spec: DualPairSpec, include_probes: bool = True) -> List[dict]:
+def commutator_pairing(spec: DualPairSpec) -> List[dict]:
     """Commutator signs of lifted generators across the two sides.
 
     The pairing factors through component groups, so component
-    representatives suffice; when a side is connected a deterministic
-    identity-component probe is included so the Pin-level commutation is
-    exercised rather than vacuous.
+    representatives suffice; a deterministic identity-component probe
+    follows them on each side, so the Pin-level commutation is exercised
+    rather than vacuous when a side is connected.
     """
 
     def side_lifts(side: SideSpec) -> List[Tuple[str, PinElement]]:
         out = [(rep.name, lift(rep.map)) for rep in side.component_reps]
-        if include_probes or not out:
-            name, g = side.identity_probe()
-            out.append((name, lift(g)))
+        name, g = side.identity_probe()
+        out.append((name, lift(g)))
         return out
 
     records = []
@@ -241,19 +231,6 @@ def commutator_pairing(spec: DualPairSpec, include_probes: bool = True) -> List[
 
 def all_commute(records: Sequence[dict]) -> bool:
     return all(r["sign"] == 1 for r in records)
-
-
-def cocycle(spec: DualPairSpec, side: str, g: OrthogonalMap, h: OrthogonalMap,
-            tol: float = PIN_TOL) -> int:
-    """2-cocycle z(g, h) = s(g) s(h) s(gh)^{-1} for the canonical section."""
-    del side  # the section only depends on the ambient space
-    sg, sh = section(g), section(h)
-    sgh = section(g.compose(h))
-    z = (sg * sh * sgh.inverse()).value
-    s = _scalar_sign(z, max(tol, 1e-7))
-    if s is None:
-        raise NotPinError("cocycle value is not +-1")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +264,8 @@ def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
             return _loop_attempt(loop, n)
         except AmbiguousPathError:
             n *= 2
-    raise LiftError(f"loop {loop.name}: path lifting ambiguous even at {max_steps} steps")
+    # n has just doubled past max_steps: n // 2 is the finest count tried
+    raise LiftError(f"loop {loop.name}: path lifting ambiguous even at {n // 2} steps")
 
 
 def _loop_attempt(loop: LoopGenerator, n: int) -> int:

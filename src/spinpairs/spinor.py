@@ -15,7 +15,7 @@ and the blade-extension gamma~ is an algebra isomorphism onto End(S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .groups import LieElement
 from .pin import PinElement
 
 MAX_HALF_DIM = 8
+ANTISYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,6 @@ def gamma_tilde(sp: SpinorSpace, x: CliffordElement) -> np.ndarray:
     return out
 
 
-def gamma_vector(sp: SpinorSpace, coords: Sequence) -> np.ndarray:
-    return gamma_tilde(sp, from_vector(sp.space, coords))
-
-
 def pi_rep(sp: SpinorSpace, x: PinElement) -> np.ndarray:
     """The spinorial representation on a Pin element.
 
@@ -102,8 +99,7 @@ def pi_rep(sp: SpinorSpace, x: PinElement) -> np.ndarray:
 
 
 def lie_to_clifford(X: Union[LieElement, np.ndarray],
-                    space: Optional[QuadraticSpace] = None,
-                    tol: float = 1e-9) -> CliffordElement:
+                    space: Optional[QuadraticSpace] = None) -> CliffordElement:
     """Degree-2 Clifford realization Q(X) with [Q(X), v] = Xv for vectors v.
 
     Q(X) = (1/4) sum_k norms[k] (X e_k) e_k; requires X antisymmetric for the
@@ -117,7 +113,7 @@ def lie_to_clifford(X: Union[LieElement, np.ndarray],
             raise ValueError("pass a QuadraticSpace together with a bare matrix")
         M = np.asarray(X, dtype=complex)
     B = np.diag(np.array(space.norms, dtype=float))
-    if not np.allclose(M.T @ B + B @ M, 0, atol=tol):
+    if not np.allclose(M.T @ B + B @ M, 0, atol=ANTISYMMETRY_TOL):
         raise ValueError("matrix is not antisymmetric for the quadratic form")
     n = space.dim
     acc = CliffordElement(space, {})

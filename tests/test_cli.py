@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from spinpairs import cli
+from spinpairs.families import FAMILY_BUILDERS, PAIR_PARAM_FAMILIES
 from spinpairs.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, RunConfig,
                            compare_with_expected, load_expected_table, main, run)
 
@@ -45,6 +46,25 @@ def test_wrongly_shaped_params_are_build_errors(family, params):
     report = run(RunConfig([(family, params), ("Sp_R", (1, 1))], stages=()))
     stages = {r["family"]: r.get("error", {}).get("stage") for r in report["pairs"]}
     assert stages == {family: "build", "Sp_R": None}
+
+
+def test_oversized_pairs_are_build_errors():
+    # 8 x 8 gives every family dim E >= 64, above the 62 generators a blade mask carries
+    pairs = [(f, ((8, 0), (8, 0)) if f in PAIR_PARAM_FAMILIES else (8, 8)) for f in FAMILY_BUILDERS]
+    report = run(RunConfig(pairs, stages=()))
+    assert len(report["pairs"]) == len(pairs)
+    for rec in report["pairs"]:
+        assert rec["error"]["stage"] == "build", rec
+        assert "ambient dimension" in rec["error"]["message"]
+
+
+def test_cli_rejects_oversized_pairs():
+    runner = CliRunner()
+    for cmd in (["verify-commute", "--family", "GL_R", "--params", "8,8"],
+                ["invariants", "--family", "Sp_C", "--params", "6,6"]):
+        res = runner.invoke(main, cmd)
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "ambient dimension" in res.output
 
 
 def test_report_schema_keys():
@@ -163,8 +183,9 @@ def test_cli_rejects_non_integer_params(family, params):
 def test_cli_has_no_backend_or_seed_option(cmd):
     runner = CliRunner()
     usage = runner.invoke(main, [cmd[0], "--help"]).output
-    assert "--steps" in usage and "--backend" not in usage and "--seed" not in usage
-    for opt in (["--backend", "float"], ["--seed", "0"]):
+    assert "--steps" in usage
+    assert "--backend" not in usage and "--seed" not in usage and "--timings" not in usage
+    for opt in (["--backend", "float"], ["--seed", "0"], ["--timings"]):
         assert runner.invoke(main, cmd + opt).exit_code == EXIT_CONFIG
 
 

@@ -1,4 +1,4 @@
-"""Blade arithmetic, involutions, graded tensors, and the Chevalley map."""
+"""Blade arithmetic, involutions, and the Chevalley map."""
 
 import math
 from pathlib import Path
@@ -13,19 +13,16 @@ from spinpairs.clifford import (MAX_DIM, CliffordElement, ExteriorElement,
                                 QuadraticSpace, SpaceMismatchError, basis_vector, blade,
                                 blade_product, blade_sign_mask, chevalley_T, chevalley_T_inv,
                                 chevalley_T_vectors, complex_space, complexify_element,
-                                direct_sum, exterior_apply_map, exterior_vector,
-                                from_vector, graded_tensor_mul, grade, real_space,
-                                reorder_sign, scalar_element, tensor_to_sum)
+                                exterior_apply_map, exterior_vector, from_vector,
+                                real_space, reorder_sign, scalar_element)
 
 
-def random_exact_element(rng, space, nterms=4, parity=None):
+def random_exact_element(rng, space, nterms=4):
     # Gaussian-integer coefficients: sums and products stay exact in doubles
     dim = space.dim
     terms = {}
     for _ in range(nterms):
         m = int(rng.integers(1 << dim))
-        if parity is not None and grade(m) % 2 != parity:
-            continue
         terms[m] = complex(int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
     return CliffordElement(space, terms)
 
@@ -260,58 +257,6 @@ def test_involution_properties_hypothesis(seed):
     assert (x * y).alpha().equals_exact(x.alpha() * y.alpha())
     assert (x * y).tau().equals_exact(y.tau() * x.tau())
     assert x.alpha().tau().equals_exact(x.tau().alpha())
-
-
-# --- graded tensor product --------------------------------------------------
-
-def test_graded_tensor_simple_factors():
-    E1, E2 = real_space(2), real_space(2)
-    e = basis_vector(E1, 0)
-    f = basis_vector(E2, 1)
-    one1, one2 = scalar_element(E1, 1), scalar_element(E2, 1)
-    p1, p2 = graded_tensor_mul((e, one2), (one1, f))
-    assert p1.equals_exact(e) and p2.equals_exact(f)
-
-
-def test_graded_tensor_odd_odd_sign():
-    E1, E2 = real_space(1), real_space(1)
-    e = basis_vector(E1, 0)
-    f = basis_vector(E2, 0)
-    one1, one2 = scalar_element(E1, 1), scalar_element(E2, 1)
-    p1, p2 = graded_tensor_mul((one1, f), (e, one2))
-    assert p1.equals_exact(-e) and p2.equals_exact(f)
-
-
-def test_graded_tensor_rejects_mixed_parity():
-    E1, E2 = real_space(2), real_space(2)
-    mixed = scalar_element(E1, 1) + basis_vector(E1, 0)
-    f = basis_vector(E2, 0)
-    one2 = scalar_element(E2, 1)
-    with pytest.raises(ValueError):
-        graded_tensor_mul((mixed, one2), (mixed, f))
-
-
-@pytest.mark.parametrize("norms1,norms2", [
-    ((1, -1, 1), (1, 1, -1)),
-    ((1, 1, -1, -1, 1, 1), (1, -1, 1, -1, 1, -1)),   # summands up to dim 12 total
-])
-def test_graded_tensor_agrees_with_direct_sum_product(norms1, norms2):
-    rng = np.random.default_rng(3)
-    E1 = QuadraticSpace("real", norms1)
-    E2 = QuadraticSpace("real", norms2)
-    total = direct_sum(E1, E2)
-    for _ in range(25):
-        par = [int(rng.integers(2)) for _ in range(4)]
-        c1 = random_exact_element(rng, E1, 6, parity=par[0])
-        d1 = random_exact_element(rng, E1, 6, parity=par[1])
-        c2 = random_exact_element(rng, E2, 6, parity=par[2])
-        d2 = random_exact_element(rng, E2, 6, parity=par[3])
-        if None in (c1.parity(), d1.parity(), c2.parity(), d2.parity()):
-            continue
-        p1, p2 = graded_tensor_mul((c1, c2), (d1, d2))
-        rule = tensor_to_sum(p1, p2, total)
-        direct = tensor_to_sum(c1, c2, total) * tensor_to_sum(d1, d2, total)
-        assert rule.equals_exact(direct)
 
 
 # --- Chevalley map ----------------------------------------------------------

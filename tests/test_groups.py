@@ -1,15 +1,18 @@
 """Family embeddings: realifications, signatures, commutation, complexification."""
 
+import json
+
 import numpy as np
 import pytest
 
-from spinpairs.clifford import complex_space
-from spinpairs.families import MINIMAL_PARAMS, build_pair, sp_pq_quat_basis, u_pq_basis
-from spinpairs.groups import (ClassificationError, OrthogonalMap, complexify,
-                              commutes_with_J, fixed_real_basis,
+from spinpairs import families
+from spinpairs.cli import load_expected_table
+from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, build_pair, normalize_params,
+                                sp_pq_quat_basis, u_pq_basis)
+from spinpairs.groups import (ClassificationError, OrthogonalMap, complexify, fixed_real_basis,
                               orthogonalize_real_gram, quaternion_J,
-                              quaternion_matrix_product, realify_complex,
-                              realify_complex_matrix, realify_quaternionic, sort_basis)
+                              quaternion_matrix_product, realify_complex_matrix,
+                              realify_quaternionic, sort_basis, tensor_kl_permutation)
 from spinpairs.howe import span_rank
 
 RNG = np.random.default_rng(2024)
@@ -17,23 +20,12 @@ RNG = np.random.default_rng(2024)
 
 # --- realification of complex spaces ----------------------------------------
 
-def test_realify_complex_line_gives_1_1():
-    Er, _ = realify_complex(complex_space(1))
-    assert Er.signature == (1, 1)
-
-
-def test_realify_norm_of_i_times_vector():
-    # b(e,e)=1 implies Re b(ie, ie) = -1: the l-vectors carry norm -1
-    Er, idx = realify_complex(complex_space(3))
-    assert Er.norms[:3] == (1, 1, 1) and Er.norms[3:] == (-1, -1, -1)
-    assert idx["k"] == [0, 1, 2]
-
-
-def test_realify_tensor_kl_indexing_2x2():
-    Er, idx = realify_complex(complex_space(4), tensor_shape=(2, 2))
-    assert Er.signature == (4, 4)
-    # slot a(s,t) = (m-t)n+s, 1-based: k1 = (1,2), k2 = (2,2), k3 = (1,1), k4 = (2,1)
-    assert idx["k"] == [(1, 2), (2, 2), (1, 1), (2, 1)]
+def test_tensor_kl_permutation_layout_2x2():
+    # slot a(s,t) = (m-t)n+s, 1-based: slots 1..4 carry (1,2), (2,2), (1,1), (2,1)
+    P = tensor_kl_permutation(2, 2)
+    assert (P.sum(axis=0) == 1).all() and (P.sum(axis=1) == 1).all()
+    slots = [divmod(int(np.argmax(P[a])), 2) for a in range(4)]
+    assert [(s + 1, t + 1) for s, t in slots] == [(1, 2), (2, 2), (1, 1), (2, 1)]
 
 
 def test_realified_matrix_multiplicative():
@@ -75,8 +67,9 @@ def test_quaternion_image_characterized_by_J_conjugation():
     J = quaternion_J(n)
     g = realify_quaternionic(RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n)),
                              RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n)))
-    assert commutes_with_J(g, J)
-    assert not commutes_with_J(np.diag([1.0 + 0j, 1, 1, 1j]), J)
+    assert np.allclose(g @ J, J @ g.conj(), atol=1e-9)
+    h = np.diag([1.0 + 0j, 1, 1, 1j])
+    assert not np.allclose(h @ J, J @ h.conj(), atol=1e-9)
 
 
 def test_quaternion_embedding_injective():
@@ -174,6 +167,33 @@ def test_excluded_sizes_rejected():
         build_pair("U", ((0, 0), (1, 0)))
     with pytest.raises(ClassificationError):
         build_pair("nonsense", (1, 1))
+
+
+# one instance per family above the 62 generators a blade mask can carry, most just above
+OVERSIZED = [
+    ("O_real", ((8, 0), (8, 0))), ("U", ((4, 2), (3, 3))), ("Sp_R", (4, 4)),
+    ("O_C_real", (6, 6)), ("Sp_C_real", (2, 4)), ("Sp_H", ((4, 0), (2, 2))),
+    ("O_star", (4, 4)), ("GL_R", (8, 8)), ("GL_C", (4, 4)), ("GL_H", (2, 4)),
+    ("O_C", (8, 8)), ("Sp_C", (6, 6)), ("GL_C_complex", (6, 6)),
+]
+
+
+@pytest.mark.parametrize("family,params", OVERSIZED)
+def test_oversized_instances_rejected_before_building(family, params, monkeypatch):
+    def fail(*args):
+        raise AssertionError("an oversized instance reached the builder")
+
+    monkeypatch.setattr(families, "complex_orthonormalize", fail)
+    monkeypatch.setitem(families.FAMILY_BUILDERS, family, fail)
+    with pytest.raises(ClassificationError, match="ambient dimension"):
+        build_pair(family, params)
+
+
+def test_ambient_dim_matches_built_space():
+    rows = [(f, json.loads(p)) for f, p in load_expected_table()]
+    for family, params in rows + sorted(MINIMAL_PARAMS.items()):
+        spec = build_pair(family, params)
+        assert ambient_dim(family, normalize_params(family, params)) == spec.space.dim
 
 
 # --- embedded structure -----------------------------------------------------
@@ -293,13 +313,6 @@ def test_sp_h_complexification_dimension():
 def test_u_lie_dimensions():
     assert len(u_pq_basis(2, 1)) == 9
     assert len(sp_pq_quat_basis(1, 1)) == 10
-
-
-def test_spec_serialization_roundtrip():
-    spec = build_pair("U", ((1, 1), (1, 0)))
-    blob = spec.to_json()
-    spec2 = build_pair(blob["family"], blob["params"])
-    assert spec2.space == spec.space
 
 
 # --- group / Lie consistency of the embeddings --------------------------------

@@ -1,5 +1,6 @@
 """Invariants, generator theorems, transfer, and the double-commutant checks."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,47 @@ def test_rank_decisions_only_in_howe():
         assert "full_matrices=True" not in text, path.name
         if path.name != "howe.py":
             assert "svd(" not in text, path.name
+
+
+# public names that only tests call, each kept for a reason
+KEPT_FOR_TESTS = {
+    "blade_product": "oracle: the blade sign rule, against which the product is compared",
+    "chevalley_T_vectors": "oracle: the Chevalley map by its permutation-sum definition",
+    "quaternion_matrix_product": "oracle: quaternion arithmetic for the realified embedding",
+    "pin_element": "oracle: the full Pin membership check of lifted elements",
+    "blade": "constructor of test inputs, like SideSpec.random_element",
+}
+
+
+def _references(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # the benchmark names some models by string
+
+
+def test_every_public_name_is_used_by_the_package_or_benchmark():
+    src = Path(spinpairs.__file__).parent
+    modules = {p: ast.parse(p.read_text()) for p in src.glob("*.py") if p.name != "__init__.py"}
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    used = {name for tree in [*modules.values(), *(ast.parse(p.read_text())
+                                                   for p in bench.glob("*.py"))]
+            for name in _references(tree)}
+    unused = []
+    for path, tree in sorted(modules.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if any("command" in ast.unparse(d) for d in node.decorator_list):
+                continue  # click commands are reached through the `spinpairs` entry point
+            if node.name not in used and node.name not in KEPT_FOR_TESTS:
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 def test_generated_algebra_of_gammas_is_full():

@@ -1,4 +1,4 @@
-"""Pin membership, projection, lifting, commutators, cocycles, and covers."""
+"""Pin membership, projection, lifting, commutators, and covers."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, b
 from spinpairs.families import build_pair
 from spinpairs.groups import LoopGenerator, OrthogonalMap
 from spinpairs.pin import (MAX_PATH_STEPS, LiftError, NotPinError, PinElement, all_commute,
-                           canonical_sign, classify_extension, cocycle, commutator_pairing,
+                           canonical_sign, classify_extension, commutator_pairing,
                            commutator_sign, label_from_loop_signs, lift, loop_lift_sign,
-                           pin_element, project, section)
+                           pin_element, project)
 
 RNG = np.random.default_rng(77)
 
@@ -80,14 +80,6 @@ def test_unit_norm_but_non_group_element_rejected():
     x = (scalar_element(E, 1.0) + blade(E, [0, 1, 2, 3])).scale(1 / np.sqrt(2))
     with pytest.raises(NotPinError):
         pin_element(x)
-
-
-def test_nontrivial_cocycle_value_on_half_turns():
-    # z(R(pi), R(pi)) = s(R(pi))^2 = (e1 e2)^2 = -1: the cocycle witnesses the
-    # nonsplit cover that the loop sign classifies as DetHalf
-    spec = build_pair("U", ((1, 0), (1, 0)))
-    half = spec.G.embed_group(np.array([[np.exp(1j * np.pi)]]))
-    assert cocycle(spec, "G", half, half) == -1
 
 
 def test_projection_is_homomorphism():
@@ -295,26 +287,6 @@ def test_real_orthogonal_parity_phenomenon():
         assert any(r["sign"] == -1 for r in recs), params
 
 
-# --- cocycles ------------------------------------------------------------------
-
-def test_cocycle_normalized_at_identity():
-    spec = build_pair("U", ((1, 0), (1, 0)))
-    e = OrthogonalMap(spec.space, np.eye(spec.space.dim))
-    assert cocycle(spec, "G", e, e) == 1
-
-
-def test_cocycle_identity_random_triples():
-    spec = build_pair("Sp_R", (1, 1))
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        g = spec.G.random_element(rng)
-        h = spec.G.random_element(rng)
-        k = spec.G.random_element(rng)
-        lhs = cocycle(spec, "G", g, h) * cocycle(spec, "G", g.compose(h), k)
-        rhs = cocycle(spec, "G", h, k) * cocycle(spec, "G", g, h.compose(k))
-        assert lhs == rhs
-
-
 # --- path lifting and classification --------------------------------------------
 
 def test_u1_in_o2_loop_sign_is_minus_one():
@@ -358,15 +330,17 @@ def test_path_lift_auto_refines_high_winding():
 
 
 def test_path_lift_fails_when_refinement_capped():
-    from spinpairs.pin import LiftError
     E = real_space(2)
 
     def fast(t):
         return OrthogonalMap(E, np.array([[np.cos(128 * t), -np.sin(128 * t)],
                                           [np.sin(128 * t), np.cos(128 * t)]]))
 
-    with pytest.raises(LiftError):
-        loop_lift_sign(LoopGenerator("fast", fast), steps=256, max_steps=256)
+    # every count steps * 2^k up to the cap leaves a lift step ambiguous; the
+    # message names the finest count tried: 3, 6, ..., 192 stops short of 256
+    for steps, finest in ((256, 256), (3, 192)):
+        with pytest.raises(LiftError, match=f"ambiguous even at {finest} steps"):
+            loop_lift_sign(LoopGenerator("fast", fast), steps=steps, max_steps=256)
 
 
 def test_label_table():
@@ -421,11 +395,11 @@ def test_canonical_sign_deterministic():
     E = real_space(2, 2)
     rng = np.random.default_rng(8)
     g = random_isometry(E, rng)
-    s1 = section(g)
+    s1 = canonical_sign(lift(g))
     s2 = canonical_sign(-lift(g))
     assert s1.value.distance(s2.value) < 1e-9 \
         or s1.value.distance((-s2).value) < 1e-9
-    # the section itself is sign-stable
+    # the sign-normalized lift itself is sign-stable
     assert canonical_sign(-s1).value.distance(s1.value) < 1e-12
 
 

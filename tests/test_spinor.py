@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spinpairs.clifford import (CliffordElement, basis_vector, blade, complex_space,
-                                complexify_element, real_space, scalar_element)
+                                complexify_element, from_vector, real_space, scalar_element)
 from spinpairs.groups import LieElement, OrthogonalMap
 from spinpairs.howe import span_rank
 from spinpairs.pin import lift, pin_element
 from spinpairs.spinor import (SpinorSpace, build_spinors, d_pi, gamma_tilde,
-                              gamma_vector, lie_to_clifford, pi_rep)
+                              lie_to_clifford, pi_rep)
 
 RNG = np.random.default_rng(31)
 
@@ -34,8 +34,8 @@ def test_gamma_anticommutators(n):
 def test_witt_vectors_are_creation_annihilation():
     # gamma(a_1) gamma(a_1^*) + gamma(a_1^*) gamma(a_1) = 2 b(a_1, a_1^*) = Id
     sp = build_spinors(complex_space(4))
-    a1 = gamma_vector(sp, sp.witt_map[:, 0])
-    a1s = gamma_vector(sp, sp.witt_map[:, 2])
+    a1 = gamma_tilde(sp, from_vector(sp.space, sp.witt_map[:, 0]))
+    a1s = gamma_tilde(sp, from_vector(sp.space, sp.witt_map[:, 2]))
     assert np.allclose(a1 @ a1, 0, atol=1e-12)
     assert np.allclose(a1 @ a1s + a1s @ a1, np.eye(4), atol=1e-12)
 
@@ -178,8 +178,8 @@ def test_d_pi_commutation_contract():
         X = A - A.T
         D = d_pi(sp, X)
         for k in range(4):
-            gv = gamma_vector(sp, np.eye(4)[k])
-            gXv = gamma_vector(sp, X[:, k])
+            gv = gamma_tilde(sp, from_vector(sp.space, np.eye(4)[k]))
+            gXv = gamma_tilde(sp, from_vector(sp.space, X[:, k]))
             assert np.allclose(D @ gv - gv @ D, gXv, atol=1e-9)
 
 
