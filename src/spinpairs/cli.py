@@ -20,8 +20,8 @@ import click
 
 from . import __version__
 from .families import build_pair, normalize_params
-from .groups import ClassificationError
-from .howe import DimensionCapError, UnsupportedFamilyError, howe_check, invariants
+from .groups import ClassificationError, DimensionCapError
+from .howe import UnsupportedFamilyError, howe_check, invariants
 from .pin import MAX_PATH_STEPS, all_commute, classify_extension, commutator_pairing
 
 EXIT_OK = 0
@@ -217,7 +217,8 @@ def _single_pair_command(stages: Tuple[str, ...]):
         problems = compare_with_expected(report)
         _emit(report, out, as_json, problems)
         errors = [r["error"] for r in report["pairs"] if "error" in r]
-        if any(e["stage"] == "build" for e in errors):
+        if any(e["stage"] == "build" or e["kind"] == DimensionCapError.__name__
+               for e in errors):
             sys.exit(EXIT_CONFIG)
         if errors:
             sys.exit(EXIT_MISMATCH)

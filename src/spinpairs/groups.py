@@ -26,6 +26,10 @@ class ClassificationError(ValueError):
     """Parameters violate a side condition of the dual-pair classification."""
 
 
+class DimensionCapError(ValueError):
+    """Instance exceeds a brute-force size cap."""
+
+
 # ---------------------------------------------------------------------------
 # basic wrapped types
 # ---------------------------------------------------------------------------

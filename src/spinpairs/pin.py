@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import (CliffordElement, QuadraticSpace, basis_vector, from_vector, grade,
                        scalar_element, vector_coords)
-from .groups import DualPairSpec, LoopGenerator, OrthogonalMap, SideSpec
+from .groups import DimensionCapError, DualPairSpec, LoopGenerator, OrthogonalMap, SideSpec
 
 PIN_TOL = 1e-9
 COMMUTATOR_TOL = 1e-7
@@ -29,6 +29,8 @@ PIVOT_TOL = 1e-8
 SKIP_TOL = 1e-10
 DEFAULT_PATH_STEPS = 256
 MAX_PATH_STEPS = 1 << 14
+# about 5 s of Clifford products at 0.3 us a term pair; the expected table needs 69,888 at most
+MAX_COMMUTATOR_TERM_PAIRS = 1 << 24
 
 
 class LiftError(RuntimeError):
@@ -207,6 +209,18 @@ def commutator_sign(x: PinElement, y: PinElement) -> int:
     return s
 
 
+def _commutator_term_pairs(x: PinElement, y: PinElement) -> int:
+    """Upper bound on the term pairs of x y x^{-1} y^{-1}, multiplied left to right.
+
+    An inverse has as many terms as its element, and a product of
+    parity-homogeneous elements lives in one parity, on at most 2^(n-1) blades.
+    """
+    a, c = len(x.value.terms), len(y.value.terms)
+    half = 1 << (x.space.dim - 1)
+    t = min(a * c, half)
+    return a * c + t * a + min(t * a, half) * c
+
+
 def commutator_pairing(spec: DualPairSpec) -> List[dict]:
     """Commutator signs of lifted generators across the two sides.
 
@@ -222,11 +236,17 @@ def commutator_pairing(spec: DualPairSpec) -> List[dict]:
         out.append((name, lift(g)))
         return out
 
-    records = []
-    for nx, x in side_lifts(spec.G):
-        for ny, y in side_lifts(spec.Gp):
-            records.append({"pair": [nx, ny], "sign": commutator_sign(x, y)})
-    return records
+    lifts_Gp = side_lifts(spec.Gp)
+    pairs = [(gx, gy) for gx in side_lifts(spec.G) for gy in lifts_Gp]
+    # every pair is bounded before the first product is taken
+    for (nx, x), (ny, y) in pairs:
+        bound = _commutator_term_pairs(x, y)
+        if bound > MAX_COMMUTATOR_TERM_PAIRS:
+            raise DimensionCapError(
+                f"commutator of {nx} and {ny}: lifts of {len(x.value.terms)} and "
+                f"{len(y.value.terms)} terms bound its products by {bound} term pairs, "
+                f"above the cap of {MAX_COMMUTATOR_TERM_PAIRS}")
+    return [{"pair": [nx, ny], "sign": commutator_sign(x, y)} for (nx, x), (ny, y) in pairs]
 
 
 def all_commute(records: Sequence[dict]) -> bool:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,16 @@ def test_cli_rejects_oversized_pairs():
         res = runner.invoke(main, cmd)
         assert res.exit_code == EXIT_CONFIG, res.output
         assert "ambient dimension" in res.output
+
+
+def test_cli_caps_the_commutator_cost():
+    # dim E 60 passes the build, but its lifted probes carry up to 4096 terms, and
+    # x y x^-1 y^-1 would take about 1.7e9 term pairs: rejected before any product
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["verify-commute", "--family", "GL_R", "--params", "5,6"])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "term pairs, above the cap of 16777216" in res.output
+    assert time.perf_counter() - start < 30.0
 
 
 def test_report_schema_keys():

@@ -72,6 +72,86 @@ def test_nullspace_of_zero_map_is_everything():
     assert ns.shape[0] == 4
 
 
+def _dense_kernel(A):
+    # oracle: one full SVD, cut at 1e-8 of max(1, largest singular value)
+    _, s, vh = np.linalg.svd(A)
+    return vh[int((s > 1e-8 * max(1.0, s.max(initial=0.0))).sum()):].conj()
+
+
+def _random_block(rng, m, n, rank):
+    def gauss(a, b):
+        return rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))
+    return gauss(m, rank) @ gauss(rank, n)
+
+
+def _permuted_blocks(rng, blocks, zero_rows=0, zero_cols=0):
+    """Block-diagonal matrix of the given blocks, rows and columns shuffled."""
+    rows = sum(b.shape[0] for b in blocks) + zero_rows
+    cols = sum(b.shape[1] for b in blocks) + zero_cols
+    A = np.zeros((rows, cols), dtype=complex)
+    i = j = 0
+    for b in blocks:
+        A[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return A[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def _split_cases():
+    rng = np.random.default_rng(2010)
+
+    def square(k=5, side=16):
+        return [_random_block(rng, side, side, rank) for rank in rng.integers(4, side + 1, k)]
+
+    # row i joins columns i and i + 1: one sparse component, with a kernel line
+    bidiagonal = np.zeros((80, 81))
+    bidiagonal[np.arange(80), np.arange(80)] = rng.normal(size=80)
+    bidiagonal[np.arange(80), np.arange(1, 81)] = rng.normal(size=80)
+    return {
+        "blocks": _permuted_blocks(rng, square()),
+        "zero column": _permuted_blocks(rng, square(), zero_cols=3),
+        "zero row": _permuted_blocks(rng, square(), zero_rows=3),
+        "tall block": _permuted_blocks(rng, [_random_block(rng, 60, 12, 8)] + square(4)),
+        "wide block": _permuted_blocks(rng, [_random_block(rng, 12, 60, 9)] + square(4)),
+        "dense component": _random_block(rng, 70, 80, 50),
+        "connected sparse pattern": bidiagonal,
+        "all zero": np.zeros((80, 90)),
+        "no rows": np.zeros((0, 70)),
+    }
+
+
+SPLIT_CASES = _split_cases()
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_nullspace_matches_dense_svd(name):
+    A = SPLIT_CASES[name]
+    K = nullspace(A)
+    oracle = _dense_kernel(A)
+    assert K.shape == oracle.shape
+    assert np.abs(A @ K.T).max(initial=0.0) < 1e-9
+    assert np.allclose(K @ K.conj().T, np.eye(len(K)), atol=1e-12)
+    # the same subspace: equal orthogonal projectors
+    assert np.allclose(K.T @ K.conj(), oracle.T @ oracle.conj(), atol=1e-9)
+    if name == "no rows":
+        assert np.array_equal(K, np.eye(70))
+
+
+def test_split_cuts_every_block_at_the_whole_matrix_scale():
+    # a block with singular values 1e3 sets the cutoff 1e-8 * 1e3 = 1e-5, so the
+    # 5e-6 direction of another block is kernel, as in one dense SVD; a per-block
+    # scale of max(1, 1) would cut at 1e-8 and count it as rank
+    rng = np.random.default_rng(6)
+
+    def unitary(n):
+        return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    side = 16
+    loud = 1e3 * unitary(side)
+    quiet = unitary(side) @ np.diag([5e-6] + [1.0] * (side - 1)) @ unitary(side)
+    A = _permuted_blocks(rng, [loud, quiet, unitary(side), unitary(side), unitary(side)])
+    assert nullspace(A).shape[0] == _dense_kernel(A).shape[0] == 1
+
+
 def test_dense_and_sparse_exterior_actions_agree():
     # the dense matrix must place each blade image of the sparse action in its row
     from spinpairs.clifford import ExteriorElement, exterior_apply_map

@@ -7,10 +7,10 @@ from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, b
                                 exterior_vector, chevalley_T, real_space, scalar_element)
 from spinpairs.families import build_pair
 from spinpairs.groups import LoopGenerator, OrthogonalMap
-from spinpairs.pin import (MAX_PATH_STEPS, LiftError, NotPinError, PinElement, all_commute,
-                           canonical_sign, classify_extension, commutator_pairing,
-                           commutator_sign, label_from_loop_signs, lift, loop_lift_sign,
-                           pin_element, project)
+from spinpairs.pin import (MAX_COMMUTATOR_TERM_PAIRS, MAX_PATH_STEPS, LiftError, NotPinError,
+                           PinElement, _commutator_term_pairs, all_commute, canonical_sign,
+                           classify_extension, commutator_pairing, commutator_sign,
+                           label_from_loop_signs, lift, loop_lift_sign, pin_element, project)
 
 RNG = np.random.default_rng(77)
 
@@ -243,6 +243,20 @@ def test_negative_control_anticommutes():
     recs = commutator_pairing(build_pair("O_real", ((1, 0), (2, 0))))
     assert not all_commute(recs)
     assert any(r["sign"] == -1 for r in recs)
+
+
+@pytest.mark.parametrize("family,params", [("O_star", (2, 2)), ("GL_R", (2, 2)),
+                                           ("U", ((1, 1), (1, 1))), ("Sp_C_real", (1, 1))])
+def test_commutator_term_pair_bound_covers_the_chain(family, params):
+    # the bound checked before the products holds for the products actually taken
+    spec = build_pair(family, params)
+    x = lift(spec.G.identity_probe()[1])
+    y = lift(spec.Gp.identity_probe()[1])
+    xy = x.value * y.value
+    xyx = xy * x.inverse_value()
+    a, c = len(x.value.terms), len(y.value.terms)
+    taken = a * c + len(xy.terms) * a + len(xyx.terms) * c
+    assert taken <= _commutator_term_pairs(x, y) <= MAX_COMMUTATOR_TERM_PAIRS
 
 
 def test_commutator_sign_constant_on_components():
