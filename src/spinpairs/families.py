@@ -146,40 +146,6 @@ def ostar_basis(n: int) -> List[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# loop matrices (native)
-# ---------------------------------------------------------------------------
-
-def _u1_at(d: int, slot: int, theta: float) -> np.ndarray:
-    M = np.eye(d, dtype=complex)
-    M[slot, slot] = np.exp(1j * theta)
-    return M
-
-
-def _rot(d: int, theta: float) -> np.ndarray:
-    M = np.eye(d)
-    c, s = np.cos(theta), np.sin(theta)
-    M[0, 0] = c
-    M[0, 1] = -s
-    M[1, 0] = s
-    M[1, 1] = c
-    return M
-
-
-def _sp_real_uloop(n: int, theta: float) -> np.ndarray:
-    C = np.eye(n)
-    S = np.zeros((n, n))
-    C[0, 0] = np.cos(theta)
-    S[0, 0] = np.sin(theta)
-    return np.block([[C, -S], [S, C]])
-
-
-def _ostar_uloop(n: int, theta: float) -> np.ndarray:
-    u = _u1_at(n, 0, theta)
-    z = np.zeros((n, n), dtype=complex)
-    return np.block([[u, z], [z, u.conj()]])
-
-
-# ---------------------------------------------------------------------------
 # builder scaffolding
 # ---------------------------------------------------------------------------
 
@@ -223,22 +189,23 @@ class Embedding:
         return OrthogonalMap(self.space, self.matrix(g))
 
     def lie(self, X) -> LieElement:
-        return LieElement(self.space, self.matrix(X, lie=True))
+        L = LieElement(self.space, self.matrix(X, lie=True))
+        if not L.is_b_antisymmetric(BUILD_TOL):
+            raise RuntimeError("embedded Lie element is not b-antisymmetric")
+        return L
 
 
 def _side(embedding: Embedding, name: str, lie, comps, loops) -> SideSpec:
-    """Embed one member's native Lie basis, component reps and (name, theta -> g) loops."""
+    """Embed one member's native Lie basis, component reps and (name, X) loop generators."""
     lie_gens = [embedding.lie(X) for X in lie]
-    for L in lie_gens:
-        if not L.is_b_antisymmetric(BUILD_TOL):
-            raise RuntimeError(f"{name}: embedded Lie generator is not b-antisymmetric")
     reps = []
     for cname, g in comps:
         om = embedding.group(g)
         if not om.is_isometry(BUILD_TOL):
             raise RuntimeError(f"{name}: component representative is not an isometry")
         reps.append(ComponentRep(cname, om))
-    embedded_loops = [LoopGenerator(n, lambda t, f=f: embedding.group(f(t))) for n, f in loops]
+    embedded_loops = [LoopGenerator(n, embedding.space, embedding.lie(X).matrix)
+                      for n, X in loops]
     return SideSpec(name, embedding.space, lie_gens, reps, embedded_loops, embedding.group)
 
 
@@ -313,11 +280,11 @@ def build_U(params) -> DualPairSpec:
     kG, kGp = _kron_sides(d1, d2)
 
     def side(k, p, q, tag):
-        # one loop per compact unitary factor: U(p) at the first +slot,
+        # one loop per nontrivial compact unitary factor: U(p) at the first +slot,
         # U(q) at the first -slot
-        loops = [(f"U({p})[{tag}+]", lambda t: _u1_at(p + q, 0, t))]
+        loops = [(f"U({p})[{tag}+]", _E(p + q, 0, 0, 1j))] if p >= 1 else []
         if q >= 1:
-            loops.append((f"U({q})[{tag}-]", lambda t: _u1_at(p + q, p, t)))
+            loops.append((f"U({q})[{tag}-]", _E(p + q, p, p, 1j)))
         emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), P.T, P)
         return _side(emb, f"U({p},{q})", u_pq_basis(p, q), [], loops)
 
@@ -344,7 +311,7 @@ def build_Sp_R(params) -> DualPairSpec:
     def side(k, n, tag):
         return _side(Embedding(space, k, Pinv, P), f"Sp({2*n},R)",
                      [M.real for M in sp_2n_basis(n, real_form=False)], [],
-                     [(f"U({n})[{tag}]", lambda t: _sp_real_uloop(n, t))])
+                     [(f"U({n})[{tag}]", _E(2 * n, n, 0) - _E(2 * n, 0, n))])
 
     return DualPairSpec("Sp_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
@@ -364,7 +331,7 @@ def _build_O_C(params, real: bool) -> DualPairSpec:
     def side(k, n, tag):
         return _side(Embedding(space, k, Pkl, Pkl.T, realify=real), f"O({n},C)",
                      so_n_complex_basis(n, real), [("r", _reflection(n, dtype=complex))],
-                     [(f"SO({n})[{tag}]", lambda t: _rot(n, t))])
+                     [(f"SO({n})[{tag}]", _E(n, 1, 0) - _E(n, 0, 1))])
 
     return DualPairSpec("O_C_real" if real else "O_C", params, space,
                         side(kG, n1, "G"), side(kGp, n2, "G'"))
@@ -460,8 +427,8 @@ def build_O_star(params) -> DualPairSpec:
         (2 * n1 * n2, 2 * n1 * n2),
         f"O*({2*n1})", f"O*({2*n2})",
         ostar_basis(n1), ostar_basis(n2),
-        [(f"U({n1})[G]", lambda t: _ostar_uloop(n1, t))],
-        [(f"U({n2})[G']", lambda t: _ostar_uloop(n2, t))])
+        [(f"U({n1})[G]", _E(2 * n1, 0, 0, 1j) - _E(2 * n1, n1, n1, 1j))],
+        [(f"U({n2})[G']", _E(2 * n2, 0, 0, 1j) - _E(2 * n2, n2, n2, 1j))])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +454,7 @@ def build_GL_R(params) -> DualPairSpec:
     kG, kGp = _kron_sides(n1, n2, dtype=float)
 
     def side(k, n, tag):
-        loops = [(f"SO({n})[{tag}]", lambda t: _rot(n, t))] if n >= 2 else []
+        loops = [(f"SO({n})[{tag}]", (_E(n, 1, 0) - _E(n, 0, 1)).real)] if n >= 2 else []
         return _side(Embedding(space, k, left, right, dual=True), f"GL({n},R)",
                      [M.real for M in gl_real_basis(n)], [("s", _reflection(n))], loops)
 
@@ -503,7 +470,7 @@ def build_GL_C(params) -> DualPairSpec:
     def side(k, n, tag):
         emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), left, right, dual=True)
         return _side(emb, f"GL({n},C)", gl_complex_basis(n, True), [],
-                     [(f"U({n})[{tag}]", lambda t: _u1_at(n, 0, t))])
+                     [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
 
     return DualPairSpec("GL_C", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
@@ -543,7 +510,7 @@ def build_GL_C_complex(params) -> DualPairSpec:
     def side(k, n, tag):
         return _side(Embedding(space, k, Pc.conj().T, Pc, dual=True), f"GL({n},C)",
                      gl_complex_basis(n, False), [],
-                     [(f"U({n})[{tag}]", lambda t: _u1_at(n, 0, t))])
+                     [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
 
     return DualPairSpec("GL_C_complex", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 

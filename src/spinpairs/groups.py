@@ -10,7 +10,7 @@ tensor-product forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -49,11 +49,6 @@ class OrthogonalMap:
         B = self.gram()
         return bool(np.allclose(self.matrix.T @ B @ self.matrix, B, atol=tol))
 
-    def compose(self, other: "OrthogonalMap") -> "OrthogonalMap":
-        if self.space != other.space:
-            raise ValueError("space mismatch")
-        return OrthogonalMap(self.space, self.matrix @ other.matrix)
-
 
 @dataclass(frozen=True)
 class LieElement:
@@ -76,13 +71,38 @@ class ComponentRep:
 
 @dataclass(frozen=True)
 class LoopGenerator:
-    """One-parameter compact loop theta in [0, 2pi] -> embedded isometry."""
+    """The compact loop theta in [0, 2pi] -> exp(theta X) of an embedded generator X.
+
+    X is diagonalized once as V diag(i w) V^{-1}; construction rejects X unless
+    V gives it back and every weight w is an integer, so the loop closes.  The
+    loop's class in pi_1(SO) -> Z/2, and so the sign path lifting must find,
+    is ``weight_parity`` = (-1)^(sum of the positive weights).
+    """
 
     name: str
-    fn: Callable[[float], OrthogonalMap]
+    space: QuadraticSpace
+    generator: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+    weight_parity: int = field(init=False)
+    _eig: Tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        X = np.asarray(self.generator, dtype=complex)
+        lam, V = np.linalg.eig(X)
+        w = np.round(lam.imag).astype(int)
+        if np.abs(lam - 1j * w).max() > ISOMETRY_TOL:
+            raise ValueError(f"loop {self.name}: generator eigenvalues are not i times integers")
+        Vinv = np.linalg.inv(V)
+        if np.abs((V * lam) @ Vinv - X).max() > ISOMETRY_TOL:
+            raise ValueError(f"loop {self.name}: generator is not diagonalizable")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weight_parity", -1 if w[w > 0].sum() % 2 else 1)
+        object.__setattr__(self, "_eig", (V, Vinv))
 
     def at(self, theta: float) -> OrthogonalMap:
-        return self.fn(theta)
+        V, Vinv = self._eig
+        M = (V * np.exp(1j * theta * self.weights)) @ Vinv
+        return OrthogonalMap(self.space, M.real if self.space.field_kind == "real" else M)
 
 
 @dataclass
@@ -139,9 +159,9 @@ class DualPairSpec:
         return self.space.field_kind == "complex"
 
     def side(self, which: str) -> SideSpec:
-        if which in ("G", "g", "left", "0"):
+        if which == "G":
             return self.G
-        if which in ("Gp", "g'", "G'", "right", "1"):
+        if which == "Gp":
             return self.Gp
         raise ValueError(f"unknown side {which!r}")
 

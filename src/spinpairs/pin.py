@@ -9,7 +9,8 @@ Cartan-Dieudonne factorization feeds on.
 
 Isometries are lifted by reflection factorization; extension classes of
 embedded subgroups are read off by tracking lifts along compact loops and
-recording whether the lift closes up (+1) or returns to minus itself (-1).
+recording whether the lift closes up (+1) or returns to minus itself (-1),
+a sign each loop's weight parity must confirm.
 """
 
 from __future__ import annotations
@@ -349,10 +350,20 @@ def label_from_loop_signs(signs: Dict[str, int]) -> str:
 
 def classify_extension(spec: DualPairSpec, side: str,
                        steps: int = DEFAULT_PATH_STEPS) -> ExtensionClass:
-    """Extension class of one side's lift, by path lifting its compact loops."""
+    """Extension class of one side's lift, by path lifting its compact loops.
+
+    Each path-lifted sign is checked against the loop's weight parity; a
+    disagreement raises LiftError rather than yield a label.
+    """
     s = spec.side(side)
     if not s.loops:
         # simply connected maximal compact: nothing to test, cover is split
         return ExtensionClass({}, "Trivial", no_loops=True)
-    signs = {loop.name: loop_lift_sign(loop, steps=steps) for loop in s.loops}
+    signs = {}
+    for loop in s.loops:
+        sign = loop_lift_sign(loop, steps=steps)
+        if sign != loop.weight_parity:
+            raise LiftError(f"loop {loop.name}: path lifting gives {sign:+d} but the "
+                            f"weight parity is {loop.weight_parity:+d}")
+        signs[loop.name] = sign
     return ExtensionClass(signs, label_from_loop_signs(signs))

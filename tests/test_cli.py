@@ -32,6 +32,23 @@ def test_single_pair_end_to_end():
     assert compare_with_expected(report) == []
 
 
+def test_loop_sign_against_weight_parity_is_an_error_record(monkeypatch):
+    # a path-lifted sign that disagrees with the loop's weight parity gives
+    # no label: the cover stage records the LiftError instead
+    from spinpairs import pin
+    lift_sign = pin.loop_lift_sign
+
+    def flip_one(loop, steps):
+        sign = lift_sign(loop, steps=steps)
+        return -sign if loop.name == "U(1)[G-]" else sign
+
+    monkeypatch.setattr(pin, "loop_lift_sign", flip_one)
+    rec = run(RunConfig([("U", ((1, 1), (1, 0)))], stages=("cover",)))["pairs"][0]
+    assert "extension" not in rec
+    assert rec["error"]["stage"] == "cover" and rec["error"]["kind"] == "LiftError"
+    assert "U(1)[G-]" in rec["error"]["message"] and "weight parity" in rec["error"]["message"]
+
+
 def test_invalid_params_structured_error():
     # 2.5 must not be read as the valid size 2
     for params in [(1, 2), (2.5, 2)]:

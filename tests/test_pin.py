@@ -1,12 +1,17 @@
 """Pin membership, projection, lifting, commutators, and covers."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, blade,
                                 exterior_vector, chevalley_T, real_space, scalar_element)
-from spinpairs.families import build_pair
-from spinpairs.groups import LoopGenerator, OrthogonalMap
+from spinpairs.cli import load_expected_table
+from spinpairs.families import (FAMILY_BUILDERS, PAIR_PARAM_FAMILIES, Embedding, ambient_dim,
+                                build_pair)
+from spinpairs.groups import ClassificationError, LoopGenerator, OrthogonalMap
 from spinpairs.pin import (MAX_COMMUTATOR_TERM_PAIRS, MAX_PATH_STEPS, LiftError, NotPinError,
                            PinElement, _commutator_term_pairs, all_commute, canonical_sign,
                            classify_extension, commutator_pairing, commutator_sign,
@@ -303,58 +308,56 @@ def test_real_orthogonal_parity_phenomenon():
 
 # --- path lifting and classification --------------------------------------------
 
+# generator of the rotation loop of the (e0, e1) plane
+ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 def test_u1_in_o2_loop_sign_is_minus_one():
-    E = real_space(2)
-
-    def rot(t):
-        return OrthogonalMap(E, np.array([[np.cos(t), -np.sin(t)],
-                                          [np.sin(t), np.cos(t)]]))
-
-    assert loop_lift_sign(LoopGenerator("U(1)", rot)) == -1
+    assert loop_lift_sign(LoopGenerator("U(1)", real_space(2), ROT)) == -1
 
 
 def test_doubled_rotation_loop_sign_is_plus_one():
-    E = real_space(4)
-
-    def rot2(t):
-        c, s = np.cos(t), np.sin(t)
-        R = np.array([[c, -s], [s, c]])
-        return OrthogonalMap(E, np.block([[R, np.zeros((2, 2))],
-                                          [np.zeros((2, 2)), R]]))
-
-    assert loop_lift_sign(LoopGenerator("diag", rot2)) == 1
+    X = np.block([[ROT, np.zeros((2, 2))], [np.zeros((2, 2)), ROT]])
+    assert loop_lift_sign(LoopGenerator("diag", real_space(4), X)) == 1
 
 
 def test_path_lift_auto_refines_high_winding():
     # winding-128 loop sampled at 256 steps puts consecutive lifts at right
     # angles (equidistant from both preimages): the tracker must refine
     E = real_space(2)
-
-    def fast(t):
-        return OrthogonalMap(E, np.array([[np.cos(128 * t), -np.sin(128 * t)],
-                                          [np.sin(128 * t), np.cos(128 * t)]]))
-
-    assert loop_lift_sign(LoopGenerator("fast", fast), steps=256) == 1
-
-    def fast_odd(t):
-        return OrthogonalMap(E, np.array([[np.cos(127 * t), -np.sin(127 * t)],
-                                          [np.sin(127 * t), np.cos(127 * t)]]))
-
-    assert loop_lift_sign(LoopGenerator("fast_odd", fast_odd), steps=256) == -1
+    assert loop_lift_sign(LoopGenerator("fast", E, 128 * ROT), steps=256) == 1
+    assert loop_lift_sign(LoopGenerator("fast_odd", E, 127 * ROT), steps=256) == -1
 
 
 def test_path_lift_fails_when_refinement_capped():
-    E = real_space(2)
-
-    def fast(t):
-        return OrthogonalMap(E, np.array([[np.cos(128 * t), -np.sin(128 * t)],
-                                          [np.sin(128 * t), np.cos(128 * t)]]))
-
+    fast = LoopGenerator("fast", real_space(2), 128 * ROT)
     # every count steps * 2^k up to the cap leaves a lift step ambiguous; the
     # message names the finest count tried: 3, 6, ..., 192 stops short of 256
     for steps, finest in ((256, 256), (3, 192)):
         with pytest.raises(LiftError, match=f"ambiguous even at {finest} steps"):
-            loop_lift_sign(LoopGenerator("fast", fast), steps=steps, max_steps=256)
+            loop_lift_sign(fast, steps=steps, max_steps=256)
+
+
+def test_loop_generator_weights_and_parity():
+    E = real_space(4)
+    X = np.block([[ROT, np.zeros((2, 2))], [np.zeros((2, 2)), 3 * ROT]])
+    loop = LoopGenerator("L", E, X)
+    assert sorted(loop.weights.tolist()) == [-3, -1, 1, 3]
+    assert loop.weight_parity == 1
+    assert LoopGenerator("L", E, 127 * np.kron(np.eye(2), ROT)).weight_parity == 1
+    assert LoopGenerator("L", real_space(2), 127 * ROT).weight_parity == -1
+    assert np.abs(loop.at(2 * np.pi).matrix - np.eye(4)).max() < 1e-12
+
+
+def test_loop_generator_rejects_non_integer_weight():
+    # exp(theta X) at weight 1/2 does not close at 2 pi
+    with pytest.raises(ValueError, match="not i times integers"):
+        LoopGenerator("half", real_space(2), 0.5 * ROT)
+
+
+def test_loop_generator_rejects_non_diagonalizable():
+    with pytest.raises(ValueError, match="not diagonalizable"):
+        LoopGenerator("nilpotent", real_space(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_label_table():
@@ -403,6 +406,70 @@ def test_block_sum_loop_sign_multiplicativity():
         signs[m] = next(iter(ext.loop_signs.values()))
     assert signs[2] == signs[1] * signs[1]
     assert signs[3] == signs[1] * signs[2]
+
+
+def test_lift_stages_need_no_embedding_after_build(monkeypatch):
+    # every loop and probe is fixed when build_pair returns: the commute and
+    # cover stages never re-embed a native element
+    specs = [build_pair(family, json.loads(params)) for family, params in load_expected_table()]
+
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("Embedding.matrix called after build_pair")
+
+    monkeypatch.setattr(Embedding, "matrix", no_embedding)
+    for spec in specs:
+        commutator_pairing(spec)
+        for side in ("G", "Gp"):
+            classify_extension(spec, side, steps=32)
+
+
+# every instance with sides of size at most 4 and dim E <= 8; 32 steps suffice
+# because an ambiguous step refines and a wrong sign disagrees with the weight parity
+SWEEP_SIDES = [(p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4]
+
+
+def _verdict_sweep():
+    out = {}
+    for family in FAMILY_BUILDERS:
+        grid = SWEEP_SIDES if family in PAIR_PARAM_FAMILIES else range(1, 5)
+        for a, b in itertools.product(grid, grid):
+            try:
+                if ambient_dim(family, (a, b)) > 8:
+                    continue
+                spec = build_pair(family, (a, b))
+            except ClassificationError:
+                continue
+            out[family, a, b] = {s: classify_extension(spec, s, steps=32) for s in ("G", "Gp")}
+            out[family, a, b]["commute"] = all_commute(commutator_pairing(spec))
+    return out
+
+
+def _loop_signs(ext):
+    return sorted(ext.loop_signs.values())
+
+
+def test_verdicts_respect_swap_and_form_negation():
+    sweep = _verdict_sweep()
+    assert len(sweep) > 200
+    for (family, a, b), ext in sweep.items():
+        # swap: G of f(a, b) is G' of f(b, a), and [x, y] = [y, x]^{-1}
+        swapped = sweep[family, b, a]
+        assert ext["commute"] == swapped["commute"], (family, a, b)
+        assert (ext["G"].label, _loop_signs(ext["G"])) \
+            == (swapped["Gp"].label, _loop_signs(swapped["Gp"])), (family, a, b)
+        if family != "U":
+            continue
+        # negating both hermitian forms gives the same real form, with the
+        # roles of the compact factors U(p) and U(q) exchanged
+        negated = sweep[family, a[::-1], b[::-1]]
+        assert ext["commute"] == negated["commute"], (a, b)
+        for side in ("G", "Gp"):
+            label = negated[side].label
+            if label.startswith("Lambda("):
+                p, q = label[len("Lambda("):-1].split(",")
+                label = f"Lambda({q},{p})"
+            assert (ext[side].label, _loop_signs(ext[side])) \
+                == (label, _loop_signs(negated[side])), (a, b, side)
 
 
 def test_canonical_sign_deterministic():
