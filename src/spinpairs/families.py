@@ -1,11 +1,14 @@
 """Concrete builders for the classified dual-pair families.
 
 Thirteen families: three over a complex ambient orthogonal space and ten over
-a real one.  Each builder realizes the ambient quadratic space in its
-distinguished sorted orthogonal basis, embeds both members (group and Lie
-level) through one :class:`Embedding` each, and attaches component
-representatives and compact loop generators where the member groups are
-disconnected or non-simply-connected.
+a real one.  Each builder writes the ambient quadratic space in an orthogonal
+frame with its +1 vectors first, taken from ``orthogonalize_real_gram``,
+``_split_frame`` or a permutation.  ``Sp_C`` and ``GL_C_complex`` divide the
+real frames of ``Sp_R`` and ``GL_R`` by ``complex_scales``, so their matrices
+are exactly the complexified ones.  Both members are embedded (group and Lie
+level) through one :class:`Embedding` each, with component representatives
+and compact loop generators where the member groups are disconnected or
+non-simply-connected.
 
 Ambient signatures follow the classification table:
 
@@ -33,10 +36,9 @@ import numpy as np
 
 from .clifford import MAX_DIM, QuadraticSpace, complex_space, real_space
 from .groups import (ClassificationError, ComponentRep, DualPairSpec, LieElement,
-                     LoopGenerator, OrthogonalMap, SideSpec, complex_orthonormalize,
+                     LoopGenerator, OrthogonalMap, SideSpec, complex_scales,
                      fixed_real_basis, orthogonalize_real_gram, quaternion_J,
-                     realify_complex_matrix, realify_quaternionic, sort_basis,
-                     tensor_kl_permutation)
+                     realify_complex_matrix, realify_quaternionic, tensor_kl_permutation)
 
 BUILD_TOL = 1e-9
 
@@ -155,7 +157,7 @@ class Embedding:
 
     ``model`` realizes a native element (a matrix, or a quaternionic pair
     (A, B) meaning A + jB) on a tensor model of E, and ``left``/``right``
-    change to the sorted orthogonal basis of ``space``.  With ``dual`` the
+    change to the orthogonal frame of ``space``.  With ``dual`` the
     model space is E1 + E1^*, the group acting on the dual factor by inverse
     transpose and the Lie algebra by minus transpose.  With ``realify`` the
     complex result is realified; otherwise a real ``space`` keeps the real
@@ -248,8 +250,8 @@ def build_O_real(params) -> DualPairSpec:
     eps1 = [1] * p1 + [-1] * q1
     eps2 = [1] * p2 + [-1] * q2
     nat_norms = [eps1[i] * eps2[j] for i in range(d1) for j in range(d2)]
-    _, sorted_norms, P = sort_basis(np.eye(d1 * d2), nat_norms)
-    space = QuadraticSpace("real", sorted_norms)
+    P, norms = orthogonalize_real_gram(np.diag(nat_norms))
+    space = QuadraticSpace("real", norms)
     _check_signature(space, (p1 * p2 + q1 * q2, p1 * q2 + q1 * p2), "O_real")
     kG, kGp = _kron_sides(d1, d2)
 
@@ -273,9 +275,8 @@ def build_U(params) -> DualPairSpec:
     eps2 = [1] * p2 + [-1] * q2
     # realified norms of Re(h1 ox h2): eps_i * eps_j on both w and i*w slots
     nat = [eps1[i] * eps2[j] for i in range(d1) for j in range(d2)]
-    nat_norms = nat + nat
-    _, sorted_norms, P = sort_basis(np.eye(2 * d1 * d2), nat_norms)
-    space = QuadraticSpace("real", sorted_norms)
+    P, norms = orthogonalize_real_gram(np.diag(nat + nat))
+    space = QuadraticSpace("real", norms)
     _check_signature(space, (2 * (p1 * p2 + q1 * q2), 2 * (p1 * q2 + q1 * p2)), "U")
     kG, kGp = _kron_sides(d1, d2)
 
@@ -339,14 +340,15 @@ def _build_O_C(params, real: bool) -> DualPairSpec:
 
 def _build_Sp_C(params, real: bool) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    gram = np.kron(_omega(n1), _omega(n2)).astype(complex)
-    Pc = complex_orthonormalize(gram)
-    Pcinv = np.linalg.inv(Pc)
+    # Sp_R's frame made complex orthonormal: its matrices are complexify(Sp_R)'s
+    P, norms = orthogonalize_real_gram(np.kron(_omega(n1), _omega(n2)))
+    c = complex_scales(norms)
+    left, right = c[:, None] * np.linalg.inv(P), P / c
     space = real_space(4 * n1 * n2, 4 * n1 * n2) if real else complex_space(4 * n1 * n2)
     kG, kGp = _kron_sides(2 * n1, 2 * n2)
 
     def side(k, n):
-        return _side(Embedding(space, k, Pcinv, Pc, realify=real), f"Sp({2*n},C)",
+        return _side(Embedding(space, k, left, right, realify=real), f"Sp({2*n},C)",
                      sp_2n_basis(n, real), [], [])
 
     return DualPairSpec("Sp_C_real" if real else "Sp_C", params, space,
@@ -501,14 +503,15 @@ def build_GL_H(params) -> DualPairSpec:
 
 def build_GL_C_complex(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    I = np.eye(n1 * n2)
-    # complex split basis: (e + e*)/sqrt2 and i(e - e*)/sqrt2, both of norm +1
-    Pc = np.block([[I, 1j * I], [I, -1j * I]]) / np.sqrt(2.0)
+    # GL_R's split frame made complex orthonormal: its matrices are complexify(GL_R)'s
+    H, Hinv = _split_frame(n1 * n2)
+    c = complex_scales(real_space(n1 * n2, n1 * n2).norms)
+    left, right = c[:, None] * H, Hinv / c
     space = complex_space(2 * n1 * n2)
     kG, kGp = _kron_sides(n1, n2)
 
     def side(k, n, tag):
-        return _side(Embedding(space, k, Pc.conj().T, Pc, dual=True), f"GL({n},C)",
+        return _side(Embedding(space, k, left, right, dual=True), f"GL({n},C)",
                      gl_complex_basis(n, False), [],
                      [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
 

@@ -4,8 +4,12 @@ Everything downstream (lifting, path tracking, invariant solves) consumes
 isometries expressed in the distinguished orthogonal basis of a
 :class:`~spinpairs.clifford.QuadraticSpace`, so this module concentrates the
 change-of-basis bookkeeping: realifications of complex and quaternionic
-matrices, split bases for type-II pairs, and deterministic orthogonalization of
-tensor-product forms.
+matrices, and the deterministic real frame of a symmetric form, +1 vectors
+first.  There is one complexification rule: a real orthogonal frame becomes
+complex orthonormal by dividing its columns by ``complex_scales`` (i on each
+-1 vector).  ``complexify`` conjugates every pair's matrices by it, and the
+builders of ``Sp_C`` and ``GL_C_complex`` apply it to the real frames of
+``Sp_R`` and ``GL_R``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import scipy.linalg as sla
 from .clifford import QuadraticSpace, complex_space
 
 ISOMETRY_TOL = 1e-9
-ORTHONORMALIZE_TOL = 1e-10
 
 
 class ClassificationError(ValueError):
@@ -154,10 +157,6 @@ class DualPairSpec:
     G: SideSpec
     Gp: SideSpec
 
-    @property
-    def is_complex_ambient(self) -> bool:
-        return self.space.field_kind == "complex"
-
     def side(self, which: str) -> SideSpec:
         if which == "G":
             return self.G
@@ -248,8 +247,7 @@ def _fix_column_signs(P: np.ndarray) -> np.ndarray:
     for j in range(P.shape[1]):
         col = P[:, j]
         k = int(np.argmax(np.abs(col) - 1e-15 * np.arange(len(col))))
-        piv = col[k]
-        if piv.real < 0 or (abs(piv.real) < 1e-14 and piv.imag < 0):
+        if col[k] < 0:
             P[:, j] = -col
     return P
 
@@ -268,61 +266,13 @@ def orthogonalize_real_gram(M: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]
     return P, norms
 
 
-def complex_orthonormalize(M: np.ndarray) -> np.ndarray:
-    """P with P^T M P = I for a non-degenerate complex symmetric bilinear M.
+def complex_scales(norms: Sequence[int]) -> np.ndarray:
+    """c with c_k^2 = norms[k]: 1 on a +1 vector, i on a -1 vector.
 
-    Gram-Schmidt with norm pivoting; isotropic leftovers are resolved through
-    hyperbolic pairs (u + v with b(u, v) != 0).
+    Dividing the columns of a real orthogonal frame by c makes it a complex
+    orthonormal frame, and conjugates every matrix written in it by diag(c).
     """
-    M = np.asarray(M, dtype=complex)
-    N = M.shape[0]
-    pending = [np.eye(N, dtype=complex)[:, i] for i in range(N)]
-    done: List[np.ndarray] = []
-
-    def b(u, v):
-        return u @ M @ v
-
-    def reduce(v):
-        for w in done:
-            v = v - b(v, w) * w
-        return v
-
-    while pending:
-        reduced = [reduce(v) for v in pending]
-        norms = [abs(b(v, v)) for v in reduced]
-        i = int(np.argmax(norms))
-        if norms[i] > ORTHONORMALIZE_TOL:
-            v = reduced[i]
-            w = v / np.sqrt(b(v, v))
-            done.append(w)
-            pending.pop(i)
-            continue
-        # all diagonal norms vanish: find the strongest hyperbolic cross pair
-        best, bi, bj = 0.0, -1, -1
-        for a in range(len(reduced)):
-            for c in range(a + 1, len(reduced)):
-                val = abs(b(reduced[a], reduced[c]))
-                if val > best:
-                    best, bi, bj = val, a, c
-        if best <= ORTHONORMALIZE_TOL:
-            raise ValueError("degenerate complex symmetric form")
-        v = reduced[bi] + reduced[bj]
-        w = v / np.sqrt(b(v, v))
-        done.append(w)
-        pending.pop(bi)
-    return np.array(done).T
-
-
-def sort_basis(matrix: np.ndarray, norms: Sequence[int]) -> Tuple[np.ndarray, Tuple[int, ...], np.ndarray]:
-    """Stable-permute an orthogonal basis so +1 norms precede -1 norms.
-
-    Returns (P^T matrix P, sorted norms, P) for the permutation matrix P.
-    """
-    order = sorted(range(len(norms)), key=lambda i: (-norms[i], i))
-    P = np.zeros((len(norms), len(norms)))
-    for new, old in enumerate(order):
-        P[old, new] = 1.0
-    return P.T @ np.asarray(matrix) @ P, tuple(int(norms[i]) for i in order), P
+    return np.where(np.asarray(norms) == 1, 1.0 + 0j, 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +300,11 @@ class ComplexifiedPair:
 def complexify(spec: DualPairSpec) -> ComplexifiedPair:
     """Complexified quadratic space plus complexified generators of both sides.
 
-    For a real ambient space the inclusion rescales negative-norm generators
-    by i, conjugating matrices by C = diag(scales); complex ambient spaces
-    pass through unchanged.  dim E_C always equals dim_R E.
+    The inclusion rescales each -1 generator by i, conjugating matrices by
+    C = diag(complex_scales(norms)); every norm of a complex ambient space is
+    +1, so C = I there.  dim E_C always equals dim_R E.
     """
-    if spec.is_complex_ambient:
-        return ComplexifiedPair(
-            spec, spec.space,
-            [np.asarray(g.matrix, dtype=complex) for g in spec.G.lie_generators],
-            [np.asarray(g.matrix, dtype=complex) for g in spec.Gp.lie_generators],
-            [(r.name, np.asarray(r.map.matrix, dtype=complex)) for r in spec.G.component_reps],
-            [(r.name, np.asarray(r.map.matrix, dtype=complex)) for r in spec.Gp.component_reps],
-        )
-    scales = np.array([1.0 + 0j if n == 1 else 1j for n in spec.space.norms])
+    scales = complex_scales(spec.space.norms)
     C = np.diag(scales)
     Cinv = np.diag(1.0 / scales)
 

@@ -181,26 +181,6 @@ def lift(g: OrthogonalMap) -> PinElement:
     return PinElement(x, parity, nu)
 
 
-def canonical_sign(x: PinElement) -> PinElement:
-    """Deterministic sign of a lift: largest-magnitude coefficient made positive.
-
-    Largest by magnitude with lowest blade mask as tie-break; positive means
-    positive real part, falling back to positive imaginary part when the
-    real part vanishes.
-    """
-    best_mask, best_mag = None, -1.0
-    for m, c in sorted(x.value.terms.items()):
-        mag = abs(c)
-        if mag > best_mag + 1e-12:
-            best_mask, best_mag = m, mag
-    if best_mask is None:
-        raise NotPinError("zero element")
-    piv = x.value.coeff(best_mask)
-    if piv.real < -1e-12 or (abs(piv.real) <= 1e-12 and piv.imag < 0):
-        return -x
-    return x
-
-
 def commutator_sign(x: PinElement, y: PinElement) -> int:
     """[x, y] = x y x^{-1} y^{-1}, which must be a central +-1."""
     c = (x * y * x.inverse() * y.inverse()).value
@@ -290,8 +270,8 @@ def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
 
 
 def _loop_attempt(loop: LoopGenerator, n: int) -> int:
-    x0 = canonical_sign(lift(loop.at(0.0)))
-    prev = x0.value
+    # every loop starts at the identity, whose lift +1 fixes the sign
+    prev = x0 = scalar_element(loop.space, 1.0)
     for k in range(1, n + 1):
         theta = 2.0 * np.pi * k / n
         xk = lift(loop.at(theta)).value
@@ -299,8 +279,8 @@ def _loop_attempt(loop: LoopGenerator, n: int) -> int:
         if dnear > 0.5 * dfar:
             raise AmbiguousPathError(f"step {k}/{n} of {loop.name}")
         prev = chosen
-    dplus = prev.distance(x0.value)
-    dminus = (-prev).distance(x0.value)
+    dplus = prev.distance(x0)
+    dminus = (-prev).distance(x0)
     if min(dplus, dminus) > 0.5 * max(dplus, dminus):
         raise AmbiguousPathError(f"endpoint of {loop.name}")
     return 1 if dplus < dminus else -1

@@ -1,6 +1,8 @@
 """Family embeddings: realifications, signatures, commutation, complexification."""
 
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, build_pair, normali
 from spinpairs.groups import (ClassificationError, OrthogonalMap, complexify, fixed_real_basis,
                               orthogonalize_real_gram, quaternion_J,
                               quaternion_matrix_product, realify_complex_matrix,
-                              realify_quaternionic, sort_basis, tensor_kl_permutation)
+                              realify_quaternionic, tensor_kl_permutation)
 from spinpairs.howe import span_rank
 
 RNG = np.random.default_rng(2024)
@@ -100,13 +102,6 @@ def test_orthogonalize_real_gram_roundtrip():
     assert list(norms) == sorted(norms, reverse=True)
 
 
-def test_sort_basis_stable():
-    M = np.diag([2.0, 3.0, 5.0])
-    sortedM, norms, P = sort_basis(M, [-1, 1, -1])
-    assert norms == (1, -1, -1)
-    assert np.allclose(sortedM, np.diag([3.0, 2.0, 5.0]))
-
-
 # --- signatures across the classification -----------------------------------
 
 SIGNATURE_CASES = [
@@ -183,7 +178,6 @@ def test_oversized_instances_rejected_before_building(family, params, monkeypatc
     def fail(*args):
         raise AssertionError("an oversized instance reached the builder")
 
-    monkeypatch.setattr(families, "complex_orthonormalize", fail)
     monkeypatch.setitem(families.FAMILY_BUILDERS, family, fail)
     with pytest.raises(ClassificationError, match="ambient dimension"):
         build_pair(family, params)
@@ -274,6 +268,40 @@ def test_complexify_dimension_preserved_all_families():
             assert np.allclose(g.T @ g, B, atol=1e-9)
 
 
+@pytest.mark.parametrize("params", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+@pytest.mark.parametrize("family,real_form", [("Sp_C", "Sp_R"), ("GL_C_complex", "GL_R")])
+def test_complex_families_are_complexified_real_forms(family, real_form, params):
+    # one complexification rule: the complex frame is the real frame divided by complex_scales
+    spec = build_pair(family, params)
+    cpx = complexify(build_pair(real_form, params))
+    for side in ("G", "Gp"):
+        lie, _ = cpx.side(side)
+        ours = [X.matrix for X in spec.side(side).lie_generators]
+        assert len(ours) == len(lie)
+        assert all(np.array_equal(X, Y) for X, Y in zip(ours, lie)), side
+
+
+def test_permutation_frames_embed_integer_generators():
+    # O_real and U take an exact permutation frame: sign-matrix generators stay exact
+    sides = [(p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4]
+    checked = 0
+    for family, a, b in itertools.product(("O_real", "U"), sides, sides):
+        if ambient_dim(family, (a, b)) > 8:
+            continue
+        spec = build_pair(family, (a, b))
+        for X in spec.G.lie_generators + spec.Gp.lie_generators:
+            assert np.isin(X.matrix, (-1.0, 0.0, 1.0)).all(), (family, a, b)
+            checked += 1
+    assert checked > 100
+
+
+def test_every_frame_comes_from_groups_or_the_split_frame():
+    # builders take orthogonal frames from groups.py or _split_frame, never their own
+    text = Path(families.__file__).read_text()
+    assert "np.sqrt(" not in text
+    assert "eigh(" not in text
+
+
 def _complex_structure(spec, d):
     # multiplication by i on E, the G-embedding of i * I_d; complexifying is a
     # similarity, so its eigenvalues are those of the complexified structure
@@ -341,7 +369,7 @@ def test_loop_is_one_parameter_subgroup_tangent_to_lie_span(family, which, index
     h = 1e-4
     tangent = np.asarray((loop.at(h).matrix - loop.at(-h).matrix) / (2 * h), dtype=complex)
     gens = [np.asarray(L.matrix, dtype=complex).ravel() for L in side.lie_generators]
-    if spec.is_complex_ambient:
+    if spec.space.field_kind == "complex":
         gens += [1j * g for g in gens]
     A = np.array(gens).T
     A = np.vstack([A.real, A.imag])

@@ -13,7 +13,7 @@ from spinpairs.families import (FAMILY_BUILDERS, PAIR_PARAM_FAMILIES, Embedding,
                                 build_pair)
 from spinpairs.groups import ClassificationError, LoopGenerator, OrthogonalMap
 from spinpairs.pin import (MAX_COMMUTATOR_TERM_PAIRS, MAX_PATH_STEPS, LiftError, NotPinError,
-                           PinElement, _commutator_term_pairs, all_commute, canonical_sign,
+                           PinElement, _commutator_term_pairs, all_commute,
                            classify_extension, commutator_pairing, commutator_sign,
                            label_from_loop_signs, lift, loop_lift_sign, pin_element, project)
 
@@ -428,9 +428,9 @@ def test_lift_stages_need_no_embedding_after_build(monkeypatch):
 SWEEP_SIDES = [(p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4]
 
 
-def _verdict_sweep():
+def _verdict_sweep(families=FAMILY_BUILDERS):
     out = {}
-    for family in FAMILY_BUILDERS:
+    for family in families:
         grid = SWEEP_SIDES if family in PAIR_PARAM_FAMILIES else range(1, 5)
         for a, b in itertools.product(grid, grid):
             try:
@@ -448,40 +448,52 @@ def _loop_signs(ext):
     return sorted(ext.loop_signs.values())
 
 
-def test_verdicts_respect_swap_and_form_negation():
-    sweep = _verdict_sweep()
-    assert len(sweep) > 200
+def _symmetry_violations(sweep):
+    """(relation, instance) for every swap or U form-negation verdict mismatch."""
+    bad = []
     for (family, a, b), ext in sweep.items():
         # swap: G of f(a, b) is G' of f(b, a), and [x, y] = [y, x]^{-1}
         swapped = sweep[family, b, a]
-        assert ext["commute"] == swapped["commute"], (family, a, b)
-        assert (ext["G"].label, _loop_signs(ext["G"])) \
-            == (swapped["Gp"].label, _loop_signs(swapped["Gp"])), (family, a, b)
+        if ext["commute"] != swapped["commute"] \
+                or (ext["G"].label, _loop_signs(ext["G"])) \
+                != (swapped["Gp"].label, _loop_signs(swapped["Gp"])):
+            bad.append(("swap", family, a, b))
         if family != "U":
             continue
         # negating both hermitian forms gives the same real form, with the
         # roles of the compact factors U(p) and U(q) exchanged
         negated = sweep[family, a[::-1], b[::-1]]
-        assert ext["commute"] == negated["commute"], (a, b)
+        if ext["commute"] != negated["commute"]:
+            bad.append(("negation", family, a, b))
         for side in ("G", "Gp"):
             label = negated[side].label
             if label.startswith("Lambda("):
                 p, q = label[len("Lambda("):-1].split(",")
                 label = f"Lambda({q},{p})"
-            assert (ext[side].label, _loop_signs(ext[side])) \
-                == (label, _loop_signs(negated[side])), (a, b, side)
+            if (ext[side].label, _loop_signs(ext[side])) != (label, _loop_signs(negated[side])):
+                bad.append(("negation", family, a, b, side))
+    return bad
 
 
-def test_canonical_sign_deterministic():
-    E = real_space(2, 2)
-    rng = np.random.default_rng(8)
-    g = random_isometry(E, rng)
-    s1 = canonical_sign(lift(g))
-    s2 = canonical_sign(-lift(g))
-    assert s1.value.distance(s2.value) < 1e-9 \
-        or s1.value.distance((-s2).value) < 1e-9
-    # the sign-normalized lift itself is sign-stable
-    assert canonical_sign(-s1).value.distance(s1.value) < 1e-12
+def test_verdicts_respect_swap_and_form_negation():
+    sweep = _verdict_sweep()
+    assert len(sweep) > 200
+    assert _symmetry_violations(sweep) == []
+
+
+def test_symmetry_oracle_catches_a_duplicate_loop(monkeypatch):
+    # the phantom-loop fault: G gets a second copy of its first loop
+    build_U = FAMILY_BUILDERS["U"]
+
+    def with_duplicate_loop(params):
+        spec = build_U(params)
+        if spec.G.loops:
+            first = spec.G.loops[0]
+            spec.G.loops.append(LoopGenerator(first.name + "'", first.space, first.generator))
+        return spec
+
+    monkeypatch.setitem(FAMILY_BUILDERS, "U", with_duplicate_loop)
+    assert _symmetry_violations(_verdict_sweep(["U"])) != []
 
 
 def test_chevalley_intertwines_pin_actions():
