@@ -1,13 +1,16 @@
 """Concrete builders for the classified dual-pair families.
 
-Thirteen families: three over a complex ambient orthogonal space and ten over
-a real one.  Each builder writes the ambient quadratic space in an orthogonal
-frame with its +1 vectors first, taken from ``orthogonalize_real_gram``,
-``_split_frame`` or a permutation.  ``Sp_C`` and ``GL_C_complex`` divide the
-real frames of ``Sp_R`` and ``GL_R`` by ``complex_scales``, so their matrices
-are exactly the complexified ones.  Both members are embedded (group and Lie
-level) through one :class:`Embedding` each, with component representatives
-and compact loop generators where the member groups are disconnected or
+Thirteen families: ten builders, three over a complex ambient orthogonal
+space and seven over a real one, plus the three ``_R`` families that
+``realified`` derives from the complex ones (``O_C_real``, ``Sp_C_real`` and
+``GL_C`` from ``O_C``, ``Sp_C`` and ``GL_C_complex``).  Each builder writes the
+ambient quadratic space in an orthogonal frame with its +1 vectors first,
+taken from ``orthogonalize_real_gram``, ``_split_frame`` or a permutation.
+``Sp_C`` and ``GL_C_complex`` divide the real frames of ``Sp_R`` and ``GL_R``
+by ``complex_scales``, so their matrices are exactly the complexified ones.
+Both members are embedded (group and Lie level) through one
+:class:`Embedding` each, with component representatives and compact loop
+generators where the member groups are disconnected or
 non-simply-connected.
 
 Ambient signatures follow the classification table:
@@ -57,14 +60,6 @@ def gl_real_basis(n: int) -> List[np.ndarray]:
     return [_E(n, a, b) for a in range(n) for b in range(n)]
 
 
-def gl_complex_basis(n: int, real_form: bool) -> List[np.ndarray]:
-    """gl(n,C): complex basis E_ab, doubled by i when used as a real Lie algebra."""
-    out = [_E(n, a, b) for a in range(n) for b in range(n)]
-    if real_form:
-        out += [_E(n, a, b, 1j) for a in range(n) for b in range(n)]
-    return out
-
-
 def u_pq_basis(p: int, q: int) -> List[np.ndarray]:
     """u(p,q) for the hermitian form diag(I_p, -I_q): H times anti-hermitian."""
     d = p + q
@@ -86,17 +81,11 @@ def so_pq_basis(norms: Sequence[int]) -> List[np.ndarray]:
     return out
 
 
-def so_n_complex_basis(n: int, real_form: bool) -> List[np.ndarray]:
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(_E(n, a, b) - _E(n, b, a))
-            if real_form:
-                out.append(_E(n, a, b, 1j) - _E(n, b, a, 1j))
-    return out
+def so_n_complex_basis(n: int) -> List[np.ndarray]:
+    return [_E(n, a, b) - _E(n, b, a) for a in range(n) for b in range(a + 1, n)]
 
 
-def sp_2n_basis(n: int, real_form: bool) -> List[np.ndarray]:
+def sp_2n_basis(n: int) -> List[np.ndarray]:
     """sp(2n) for omega(a_i, b_j) = delta_ij in basis (a_1..a_n, b_1..b_n)."""
     def blk(A, B, C):
         return np.block([[A, B], [C, -A.T]])
@@ -111,8 +100,6 @@ def sp_2n_basis(n: int, real_form: bool) -> List[np.ndarray]:
             S = _E(n, a, b) + _E(n, b, a)
             out.append(blk(z, S, z))
             out.append(blk(z, z, S))
-    if real_form:
-        out += [1j * M for M in out[:]]
     return out
 
 
@@ -159,9 +146,8 @@ class Embedding:
     (A, B) meaning A + jB) on a tensor model of E, and ``left``/``right``
     change to the orthogonal frame of ``space``.  With ``dual`` the
     model space is E1 + E1^*, the group acting on the dual factor by inverse
-    transpose and the Lie algebra by minus transpose.  With ``realify`` the
-    complex result is realified; otherwise a real ``space`` keeps the real
-    part, which must vanish in imaginary part.
+    transpose and the Lie algebra by minus transpose.  A real ``space`` keeps
+    the real part, which must vanish in imaginary part.
     """
 
     space: QuadraticSpace
@@ -169,7 +155,6 @@ class Embedding:
     left: np.ndarray
     right: np.ndarray
     dual: bool = False
-    realify: bool = False
 
     def matrix(self, x, lie: bool = False) -> np.ndarray:
         if isinstance(x, tuple):
@@ -179,8 +164,6 @@ class Embedding:
             Z = np.zeros(M.shape)
             M = np.block([[M, Z], [Z, -M.T if lie else np.linalg.inv(M).T]])
         M = self.left @ M @ self.right
-        if self.realify:
-            return realify_complex_matrix(M)
         if self.space.field_kind == "real":
             if np.abs(M.imag).max() > 1e-8:
                 raise RuntimeError("embedded map does not preserve the real form")
@@ -190,25 +173,64 @@ class Embedding:
     def group(self, g) -> OrthogonalMap:
         return OrthogonalMap(self.space, self.matrix(g))
 
-    def lie(self, X) -> LieElement:
-        L = LieElement(self.space, self.matrix(X, lie=True))
+
+def _checked_side(name: str, space: QuadraticSpace, lie, comps, loops,
+                  embed_group: Callable[..., OrthogonalMap]) -> SideSpec:
+    """SideSpec of embedded matrices: Lie and (name, X) loop generators, (name, g) reps.
+
+    Every side passes here: generators must be b-antisymmetric and reps
+    isometries; ``LoopGenerator`` checks that the loop weights are integers.
+    """
+    def lie_element(X) -> LieElement:
+        L = LieElement(space, X)
         if not L.is_b_antisymmetric(BUILD_TOL):
-            raise RuntimeError("embedded Lie element is not b-antisymmetric")
+            raise RuntimeError(f"{name}: embedded Lie element is not b-antisymmetric")
         return L
+
+    reps = []
+    for cname, g in comps:
+        om = OrthogonalMap(space, g)
+        if not om.is_isometry(BUILD_TOL):
+            raise RuntimeError(f"{name}: component representative is not an isometry")
+        reps.append(ComponentRep(cname, om))
+    return SideSpec(name, space, [lie_element(X) for X in lie], reps,
+                    [LoopGenerator(n, space, lie_element(X).matrix) for n, X in loops],
+                    embed_group)
 
 
 def _side(embedding: Embedding, name: str, lie, comps, loops) -> SideSpec:
     """Embed one member's native Lie basis, component reps and (name, X) loop generators."""
-    lie_gens = [embedding.lie(X) for X in lie]
-    reps = []
-    for cname, g in comps:
-        om = embedding.group(g)
-        if not om.is_isometry(BUILD_TOL):
-            raise RuntimeError(f"{name}: component representative is not an isometry")
-        reps.append(ComponentRep(cname, om))
-    embedded_loops = [LoopGenerator(n, embedding.space, embedding.lie(X).matrix)
-                      for n, X in loops]
-    return SideSpec(name, embedding.space, lie_gens, reps, embedded_loops, embedding.group)
+    return _checked_side(name, embedding.space,
+                         [embedding.matrix(X, lie=True) for X in lie],
+                         [(c, embedding.matrix(g)) for c, g in comps],
+                         [(n, embedding.matrix(X, lie=True)) for n, X in loops],
+                         embedding.group)
+
+
+def realified(family: str, build_complex: Callable) -> Callable:
+    """Builder of the pair (G, G')_R: a complex pair as real groups on E_R with Re b.
+
+    In the basis (w; i w) of E_R, w the complex pair's orthonormal frame, Re b
+    has norms (+1)^N (-1)^N and every complex matrix M becomes
+    ``realify_complex_matrix(M)``, an algebra map.  Each Lie generator X
+    gives X, then all the iX follow in the same order; reps, loop generators
+    and ``embed_group`` are realified one for one.
+    """
+    def build(params) -> DualPairSpec:
+        spec = build_complex(params)
+        space = real_space(spec.space.dim, spec.space.dim)
+
+        def side(s: SideSpec) -> SideSpec:
+            return _checked_side(
+                s.name, space,
+                [realify_complex_matrix(c * L.matrix) for c in (1, 1j) for L in s.lie_generators],
+                [(r.name, realify_complex_matrix(r.map.matrix)) for r in s.component_reps],
+                [(loop.name, realify_complex_matrix(loop.generator)) for loop in s.loops],
+                lambda g: OrthogonalMap(space, realify_complex_matrix(s.embed_group(g).matrix)))
+
+        return DualPairSpec(family, params, space, side(spec.G), side(spec.Gp))
+
+    return build
 
 
 def _check_signature(space: QuadraticSpace, expected: Tuple[int, int], family: str):
@@ -230,14 +252,14 @@ def _int_params(params) -> Tuple[int, int]:
     return int(n1), int(n2)
 
 
-def _kron_sides(d1: int, d2: int, dtype=complex):
+def _kron_sides(d1: int, d2: int):
     """Side models g -> g ox I and g -> I ox g at matrix level."""
-    return (lambda g: np.kron(np.asarray(g, dtype=dtype), np.eye(d2)),
-            lambda g: np.kron(np.eye(d1), np.asarray(g, dtype=dtype)))
+    return (lambda g: np.kron(np.asarray(g, dtype=complex), np.eye(d2)),
+            lambda g: np.kron(np.eye(d1), np.asarray(g, dtype=complex)))
 
 
-def _reflection(n: int, slot: int = 0, dtype=float) -> np.ndarray:
-    return np.diag([-1.0 if k == slot else 1.0 for k in range(n)]).astype(dtype)
+def _reflection(n: int, slot: int = 0) -> np.ndarray:
+    return np.diag([-1.0 if k == slot else 1.0 for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,64 +333,45 @@ def build_Sp_R(params) -> DualPairSpec:
 
     def side(k, n, tag):
         return _side(Embedding(space, k, Pinv, P), f"Sp({2*n},R)",
-                     [M.real for M in sp_2n_basis(n, real_form=False)], [],
+                     sp_2n_basis(n), [],
                      [(f"U({n})[{tag}]", _E(2 * n, n, 0) - _E(2 * n, 0, n))])
 
     return DualPairSpec("Sp_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 # ---------------------------------------------------------------------------
-# complex orthogonal / symplectic pairs, over C or realified
+# complex orthogonal / symplectic pairs
 # ---------------------------------------------------------------------------
 
-def _build_O_C(params, real: bool) -> DualPairSpec:
+def build_O_C(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
     if n1 < 2 or n2 < 2:
         raise ClassificationError("O(n,C) pairs require n1, n2 >= 2")
     Pkl = tensor_kl_permutation(n1, n2)
-    space = real_space(n1 * n2, n1 * n2) if real else complex_space(n1 * n2)
+    space = complex_space(n1 * n2)
     kG, kGp = _kron_sides(n1, n2)
 
     def side(k, n, tag):
-        return _side(Embedding(space, k, Pkl, Pkl.T, realify=real), f"O({n},C)",
-                     so_n_complex_basis(n, real), [("r", _reflection(n, dtype=complex))],
+        return _side(Embedding(space, k, Pkl, Pkl.T), f"O({n},C)",
+                     so_n_complex_basis(n), [("r", _reflection(n))],
                      [(f"SO({n})[{tag}]", _E(n, 1, 0) - _E(n, 0, 1))])
 
-    return DualPairSpec("O_C_real" if real else "O_C", params, space,
-                        side(kG, n1, "G"), side(kGp, n2, "G'"))
+    return DualPairSpec("O_C", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
-def _build_Sp_C(params, real: bool) -> DualPairSpec:
+def build_Sp_C(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
     # Sp_R's frame made complex orthonormal: its matrices are complexify(Sp_R)'s
     P, norms = orthogonalize_real_gram(np.kron(_omega(n1), _omega(n2)))
     c = complex_scales(norms)
     left, right = c[:, None] * np.linalg.inv(P), P / c
-    space = real_space(4 * n1 * n2, 4 * n1 * n2) if real else complex_space(4 * n1 * n2)
+    space = complex_space(4 * n1 * n2)
     kG, kGp = _kron_sides(2 * n1, 2 * n2)
 
     def side(k, n):
-        return _side(Embedding(space, k, left, right, realify=real), f"Sp({2*n},C)",
-                     sp_2n_basis(n, real), [], [])
+        return _side(Embedding(space, k, left, right), f"Sp({2*n},C)", sp_2n_basis(n), [], [])
 
-    return DualPairSpec("Sp_C_real" if real else "Sp_C", params, space,
-                        side(kG, n1), side(kGp, n2))
-
-
-def build_O_C_real(params) -> DualPairSpec:
-    return _build_O_C(params, real=True)
-
-
-def build_O_C(params) -> DualPairSpec:
-    return _build_O_C(params, real=False)
-
-
-def build_Sp_C_real(params) -> DualPairSpec:
-    return _build_Sp_C(params, real=True)
-
-
-def build_Sp_C(params) -> DualPairSpec:
-    return _build_Sp_C(params, real=False)
+    return DualPairSpec("Sp_C", params, space, side(kG, n1), side(kGp, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -453,28 +456,14 @@ def build_GL_R(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
     left, right = _split_frame(n1 * n2)
     space = real_space(n1 * n2, n1 * n2)
-    kG, kGp = _kron_sides(n1, n2, dtype=float)
-
-    def side(k, n, tag):
-        loops = [(f"SO({n})[{tag}]", (_E(n, 1, 0) - _E(n, 0, 1)).real)] if n >= 2 else []
-        return _side(Embedding(space, k, left, right, dual=True), f"GL({n},R)",
-                     [M.real for M in gl_real_basis(n)], [("s", _reflection(n))], loops)
-
-    return DualPairSpec("GL_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
-
-
-def build_GL_C(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
-    left, right = _split_frame(2 * n1 * n2)
-    space = real_space(2 * n1 * n2, 2 * n1 * n2)
     kG, kGp = _kron_sides(n1, n2)
 
     def side(k, n, tag):
-        emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), left, right, dual=True)
-        return _side(emb, f"GL({n},C)", gl_complex_basis(n, True), [],
-                     [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
+        loops = [(f"SO({n})[{tag}]", _E(n, 1, 0) - _E(n, 0, 1))] if n >= 2 else []
+        return _side(Embedding(space, k, left, right, dual=True), f"GL({n},R)",
+                     gl_real_basis(n), [("s", _reflection(n))], loops)
 
-    return DualPairSpec("GL_C", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
+    return DualPairSpec("GL_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
 
 
 def build_GL_H(params) -> DualPairSpec:
@@ -512,7 +501,7 @@ def build_GL_C_complex(params) -> DualPairSpec:
 
     def side(k, n, tag):
         return _side(Embedding(space, k, left, right, dual=True), f"GL({n},C)",
-                     gl_complex_basis(n, False), [],
+                     gl_real_basis(n), [],
                      [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
 
     return DualPairSpec("GL_C_complex", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
@@ -526,12 +515,12 @@ FAMILY_BUILDERS: Dict[str, Callable] = {
     "O_real": build_O_real,
     "U": build_U,
     "Sp_R": build_Sp_R,
-    "O_C_real": build_O_C_real,
-    "Sp_C_real": build_Sp_C_real,
+    "O_C_real": realified("O_C_real", build_O_C),
+    "Sp_C_real": realified("Sp_C_real", build_Sp_C),
     "Sp_H": build_Sp_H,
     "O_star": build_O_star,
     "GL_R": build_GL_R,
-    "GL_C": build_GL_C,
+    "GL_C": realified("GL_C", build_GL_C_complex),
     "GL_H": build_GL_H,
     "O_C": build_O_C,
     "Sp_C": build_Sp_C,

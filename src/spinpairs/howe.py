@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import (CliffordElement, ExteriorElement, QuadraticSpace, _mask_indices,
+from .clifford import (ExteriorElement, QuadraticSpace, _mask_indices, chevalley_T,
                        complex_space, exterior_blade_images, reorder_sign)
 from .groups import ComplexifiedPair, DimensionCapError, DualPairSpec, complexify
 from .pin import lift
@@ -415,7 +415,7 @@ class SpModel:
 
     def lie(self) -> List[np.ndarray]:
         from .families import sp_2n_basis
-        return [np.kron(X, np.eye(self.m)) for X in sp_2n_basis(self.n, real_form=False)]
+        return [np.kron(X, np.eye(self.m)) for X in sp_2n_basis(self.n)]
 
     def comps(self) -> List[np.ndarray]:
         return []
@@ -491,11 +491,7 @@ def transfer_invariants(inv: InvariantSpace, sp: SpinorSpace) -> List[np.ndarray
     """
     if inv.space != sp.space:
         raise ValueError("invariants and spinors live over different spaces")
-    ops = []
-    for w in inv.elements():
-        x = CliffordElement(sp.space, dict(w.terms), _clean=True)
-        ops.append(gamma_tilde(sp, x))
-    return ops
+    return [gamma_tilde(sp, chevalley_T(w)) for w in inv.elements()]
 
 
 def commutant(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:

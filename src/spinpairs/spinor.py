@@ -127,12 +127,9 @@ def lie_to_clifford(X: Union[LieElement, np.ndarray],
     return CliffordElement(space, {m: c for m, c in acc.terms.items() if grade(m) == 2})
 
 
-def d_pi(sp: SpinorSpace, X: Union[LieElement, np.ndarray]) -> np.ndarray:
-    """dPi(X) = gamma~(Q(X)), acting on S; satisfies [dPi(X), gamma(v)] = gamma(Xv)."""
-    if isinstance(X, LieElement) and X.space.field_kind == "real":
-        q = complexify_element(lie_to_clifford(X))
-    elif isinstance(X, LieElement):
-        q = lie_to_clifford(X)
-    else:
-        q = lie_to_clifford(X, sp.space)
-    return gamma_tilde(sp, q)
+def d_pi(sp: SpinorSpace, X: np.ndarray) -> np.ndarray:
+    """dPi(X) = gamma~(Q(X)) for X complexified on ``sp.space``, acting on S.
+
+    Satisfies [dPi(X), gamma(v)] = gamma(Xv).
+    """
+    return gamma_tilde(sp, lie_to_clifford(X, sp.space))

@@ -3,6 +3,7 @@
 import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from spinpairs import families
 from spinpairs.cli import load_expected_table
 from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, build_pair, normalize_params,
                                 sp_pq_quat_basis, u_pq_basis)
-from spinpairs.groups import (ClassificationError, OrthogonalMap, complexify, fixed_real_basis,
-                              orthogonalize_real_gram, quaternion_J,
-                              quaternion_matrix_product, realify_complex_matrix,
+from spinpairs.groups import (ClassificationError, ComponentRep, LieElement, OrthogonalMap,
+                              complexify, fixed_real_basis, orthogonalize_real_gram,
+                              quaternion_J, quaternion_matrix_product, realify_complex_matrix,
                               realify_quaternionic, tensor_kl_permutation)
 from spinpairs.howe import span_rank
 
@@ -279,6 +280,52 @@ def test_complex_families_are_complexified_real_forms(family, real_form, params)
         ours = [X.matrix for X in spec.side(side).lie_generators]
         assert len(ours) == len(lie)
         assert all(np.array_equal(X, Y) for X, Y in zip(ours, lie)), side
+
+
+REALIFIED = [("O_C_real", "O_C", p) for p in [(2, 2), (2, 3), (3, 2), (3, 3)]] \
+    + [("Sp_C_real", "Sp_C", p) for p in [(1, 1), (1, 2), (2, 1)]] \
+    + [("GL_C", "GL_C_complex", p) for p in [(1, 1), (1, 2), (2, 1), (2, 2)]]
+
+
+@pytest.mark.parametrize("family,complex_family,params", REALIFIED)
+def test_realified_families_are_realified_complex_pairs(family, complex_family, params):
+    # (G, G')_R: every matrix is realify_complex_matrix of the complex pair's, X then iX
+    spec, cspec = build_pair(family, params), build_pair(complex_family, params)
+    N = cspec.space.dim
+    assert spec.space.norms == (1,) * N + (-1,) * N
+    for side in ("G", "Gp"):
+        real, cpx = spec.side(side), cspec.side(side)
+        want = [realify_complex_matrix(c * L.matrix) for c in (1, 1j) for L in cpx.lie_generators]
+        assert len(real.lie_generators) == len(want)
+        assert all(np.array_equal(L.matrix, W) for L, W in zip(real.lie_generators, want)), side
+        assert [r.name for r in real.component_reps] == [r.name for r in cpx.component_reps]
+        assert all(np.array_equal(r.map.matrix, realify_complex_matrix(s.map.matrix))
+                   for r, s in zip(real.component_reps, cpx.component_reps)), side
+        assert [x.name for x in real.loops] == [x.name for x in cpx.loops]
+        for x, y in zip(real.loops, cpx.loops):
+            assert np.array_equal(x.generator, realify_complex_matrix(y.generator)), x.name
+            assert sorted(x.weights) == sorted([*y.weights, *(-y.weights)]), x.name
+
+
+@pytest.mark.parametrize("fault", ["symmetric generator", "scaled rep", "half-integer loop"])
+def test_realified_sides_pass_the_construction_checks(fault):
+    spec = build_pair("O_C", (2, 2))
+    E, G = spec.space, spec.G
+    X = G.lie_generators[0].matrix
+    if fault == "symmetric generator":
+        G.lie_generators = [LieElement(E, X @ X)]
+    elif fault == "scaled rep":
+        G.component_reps = [ComponentRep("r", OrthogonalMap(E, 2.0 * np.eye(E.dim)))]
+    else:
+        G.loops = [SimpleNamespace(name="half", generator=G.loops[0].generator / 2)]
+    with pytest.raises((RuntimeError, ValueError)):
+        families.realified("O_C_real", lambda params: spec)((2, 2))
+
+
+def test_realification_has_one_rule():
+    # realified pairs come from families.realified, not from an Embedding flag or a doubled basis
+    assert "realify" not in families.Embedding.__dataclass_fields__
+    assert "real_form" not in Path(families.__file__).read_text()
 
 
 def test_permutation_frames_embed_integer_generators():

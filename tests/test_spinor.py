@@ -5,7 +5,7 @@ import pytest
 
 from spinpairs.clifford import (CliffordElement, basis_vector, blade, complex_space,
                                 complexify_element, from_vector, real_space, scalar_element)
-from spinpairs.groups import LieElement, OrthogonalMap
+from spinpairs.groups import LieElement, OrthogonalMap, complex_scales
 from spinpairs.howe import span_rank
 from spinpairs.pin import lift, pin_element
 from spinpairs.spinor import (SpinorSpace, build_spinors, d_pi, gamma_tilde,
@@ -184,9 +184,11 @@ def test_d_pi_commutation_contract():
 
 
 def test_d_pi_real_lie_element_route():
+    # a real boost enters d_pi complexified, as C X C^-1 with C = diag(complex_scales(norms))
     E = real_space(1, 1)
     sp = build_spinors(complex_space(2))
-    X = LieElement(E, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    D = d_pi(sp, X)
+    C = np.diag(complex_scales(E.norms))
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    D = d_pi(sp, C @ X @ np.linalg.inv(C))
     # boost generator acts diagonally on the two weight vectors
     assert np.allclose(D, np.diag([0.5, -0.5]), atol=1e-12)
