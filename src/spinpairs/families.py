@@ -1,19 +1,26 @@
 """Concrete builders for the classified dual-pair families.
 
-Thirteen families: ten builders, three over a complex ambient orthogonal
-space and seven over a real one, plus the three ``_R`` families that
-``realified`` derives from the complex ones (``O_C_real``, ``Sp_C_real`` and
-``GL_C`` from ``O_C``, ``Sp_C`` and ``GL_C_complex``).  Each builder writes the
-ambient quadratic space in an orthogonal frame with its +1 vectors first,
-taken from ``orthogonalize_real_gram``, ``_split_frame`` or a permutation.
-``Sp_C`` and ``GL_C_complex`` divide the real frames of ``Sp_R`` and ``GL_R``
-by ``complex_scales``, so their matrices are exactly the complexified ones.
-Both members are embedded (group and Lie level) through one
-:class:`Embedding` each, with component representatives and compact loop
-generators where the member groups are disconnected or
-non-simply-connected.
+Every family is a pair of members (G, G') acting on a tensor model of the
+ambient space E: V1 ox V2, its realification, the real form of a tensor
+product of quaternionic spaces, or V1 ox V2 doubled with its dual.  A builder
+names a frame of E, two side models and two native members, and hands them to
+the one constructor ``_pair``:
 
-Ambient signatures follow the classification table:
+- the frame is ``_frame`` of the tensor form's gram matrix (its orthogonal
+  frame from ``orthogonalize_real_gram``, +1 vectors first), ``_split_frame``
+  of E1 + E1^*, or a permutation.  A complex frame is a real one divided by
+  ``complex_scales``, so the matrices of ``Sp_C`` and ``GL_C_complex`` are
+  exactly the complexified ones of ``Sp_R`` and ``GL_R``;
+- a side model realizes a native element of one member on the tensor model;
+- a native member is (name, Lie basis, component reps, loop generators), and
+  ``_pair`` embeds it, group and Lie level, through one :class:`Embedding`.
+
+The three ``_R`` families are ``realified`` complex pairs: ``O_C_real``,
+``Sp_C_real`` and ``GL_C`` from ``O_C``, ``Sp_C`` and ``GL_C_complex``.
+
+One table, ``SIGNATURE``, holds the ambient signatures of the classification.
+``ambient_signature`` reads it from the parameters before anything is built,
+and ``build_pair`` checks every built space against it:
 
     (O(n,C), O(m,C))            O(nm, C)                 n, m >= 2
     (Sp(2n,C), Sp(2m,C))        O(4nm, C)
@@ -42,8 +49,6 @@ from .groups import (ClassificationError, ComponentRep, DualPairSpec, LieElement
                      LoopGenerator, OrthogonalMap, SideSpec, complex_scales,
                      fixed_real_basis, orthogonalize_real_gram, quaternion_J,
                      realify_complex_matrix, realify_quaternionic, tensor_kl_permutation)
-
-BUILD_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +139,18 @@ def ostar_basis(n: int) -> List[np.ndarray]:
     return out
 
 
+def gl_quat_basis(n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """gl(n,H) as quaternion pairs (A, B) meaning A + jB."""
+    z = np.zeros((n, n), dtype=complex)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            out += [(_E(n, a, b), z), (_E(n, a, b, 1j), z), (z, _E(n, a, b)), (z, _E(n, a, b, 1j))]
+    return out
+
+
 # ---------------------------------------------------------------------------
-# builder scaffolding
+# the one constructor
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -183,14 +198,14 @@ def _checked_side(name: str, space: QuadraticSpace, lie, comps, loops,
     """
     def lie_element(X) -> LieElement:
         L = LieElement(space, X)
-        if not L.is_b_antisymmetric(BUILD_TOL):
+        if not L.is_b_antisymmetric():
             raise RuntimeError(f"{name}: embedded Lie element is not b-antisymmetric")
         return L
 
     reps = []
     for cname, g in comps:
         om = OrthogonalMap(space, g)
-        if not om.is_isometry(BUILD_TOL):
+        if not om.is_isometry():
             raise RuntimeError(f"{name}: component representative is not an isometry")
         reps.append(ComponentRep(cname, om))
     return SideSpec(name, space, [lie_element(X) for X in lie], reps,
@@ -207,6 +222,49 @@ def _side(embedding: Embedding, name: str, lie, comps, loops) -> SideSpec:
                          embedding.group)
 
 
+def _pair(family: str, params, space: QuadraticSpace, left: np.ndarray, right: np.ndarray,
+          models: Sequence[Callable], members: Sequence[tuple], dual: bool = False) -> DualPairSpec:
+    """The pair of two native members, each embedded through its side model.
+
+    A member is (name, Lie basis, (name, g) component reps, (name, X) loop
+    generators); ``models``, ``left``, ``right`` and ``dual`` are those of
+    its :class:`Embedding`.
+    """
+    G, Gp = (_side(Embedding(space, model, left, right, dual), *member)
+             for model, member in zip(models, members))
+    return DualPairSpec(family, params, space, G, Gp)
+
+
+def _in_field(field: str, norms: Sequence[int], left: np.ndarray, right: np.ndarray):
+    """(space, left, right) of a real orthogonal frame over ``field``.
+
+    Over the complex field each frame vector is divided by its
+    ``complex_scales`` entry, which makes the frame complex orthonormal.
+    """
+    if field == "real":
+        return QuadraticSpace("real", tuple(norms)), left, right
+    c = complex_scales(norms)
+    return complex_space(len(norms)), c[:, None] * left, right / c
+
+
+def _frame(gram: np.ndarray, field: str = "real"):
+    """(space, P^-1, P) for the orthogonal frame P of a real symmetric gram, +1 vectors first."""
+    P, norms = orthogonalize_real_gram(gram)
+    return _in_field(field, norms, np.linalg.inv(P), P)
+
+
+def _split_frame(d: int, field: str = "real"):
+    """(space, left, right) of the change to b_+- = (e +- e*)/sqrt(2) on E1 + E1*.
+
+    The orthonormal frame is H/sqrt(2) with the integer H = [[I, I], [I, -I]];
+    since H H = 2I, left = H and right = H/2 give the same conjugation with
+    no rounding, so sign-matrix component reps embed to exact sign matrices.
+    """
+    I = np.eye(d)
+    H = np.block([[I, I], [I, -I]])
+    return _in_field(field, (1,) * d + (-1,) * d, H, H / 2.0)
+
+
 def realified(family: str, build_complex: Callable) -> Callable:
     """Builder of the pair (G, G')_R: a complex pair as real groups on E_R with Re b.
 
@@ -220,7 +278,7 @@ def realified(family: str, build_complex: Callable) -> Callable:
         spec = build_complex(params)
         space = real_space(spec.space.dim, spec.space.dim)
 
-        def side(s: SideSpec) -> SideSpec:
+        def realify(s: SideSpec) -> SideSpec:
             return _checked_side(
                 s.name, space,
                 [realify_complex_matrix(c * L.matrix) for c in (1, 1j) for L in s.lie_generators],
@@ -228,14 +286,9 @@ def realified(family: str, build_complex: Callable) -> Callable:
                 [(loop.name, realify_complex_matrix(loop.generator)) for loop in s.loops],
                 lambda g: OrthogonalMap(space, realify_complex_matrix(s.embed_group(g).matrix)))
 
-        return DualPairSpec(family, params, space, side(spec.G), side(spec.Gp))
+        return DualPairSpec(family, params, space, realify(spec.G), realify(spec.Gp))
 
     return build
-
-
-def _check_signature(space: QuadraticSpace, expected: Tuple[int, int], family: str):
-    if space.signature != expected:
-        raise RuntimeError(f"{family}: ambient signature {space.signature} != {expected}")
 
 
 def _pair_params(params) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -258,65 +311,55 @@ def _kron_sides(d1: int, d2: int):
             lambda g: np.kron(np.eye(d1), np.asarray(g, dtype=complex)))
 
 
-def _reflection(n: int, slot: int = 0) -> np.ndarray:
+def reflection(n: int, slot: int = 0) -> np.ndarray:
+    """The reflection in the basis vector e_slot of C^n."""
     return np.diag([-1.0 if k == slot else 1.0 for k in range(n)])
 
 
+def _rotation(n: int, b: int = 1) -> np.ndarray:
+    """Generator of the rotations of the (e_0, e_b) plane."""
+    return _E(n, b, 0) - _E(n, 0, b)
+
+
+def _signs(p: int, q: int) -> List[int]:
+    return [1] * p + [-1] * q
+
+
+def _sign_blocks(p: int, q: int) -> List[Tuple[str, int, int]]:
+    """(sign, first slot, size) of each nonempty block of diag(I_p, -I_q)."""
+    return [(s, k, size) for s, k, size in (("+", 0, p), ("-", p, q)) if size]
+
+
+_TAGS = ("G", "G'")
+
+
 # ---------------------------------------------------------------------------
-# real-orthogonal pair (negative control for Pin-level commutation)
+# the families
 # ---------------------------------------------------------------------------
 
 def build_O_real(params) -> DualPairSpec:
-    (p1, q1), (p2, q2) = _pair_params(params)
-    d1, d2 = p1 + q1, p2 + q2
-    eps1 = [1] * p1 + [-1] * q1
-    eps2 = [1] * p2 + [-1] * q2
-    nat_norms = [eps1[i] * eps2[j] for i in range(d1) for j in range(d2)]
-    P, norms = orthogonalize_real_gram(np.diag(nat_norms))
-    space = QuadraticSpace("real", norms)
-    _check_signature(space, (p1 * p2 + q1 * q2, p1 * q2 + q1 * p2), "O_real")
-    kG, kGp = _kron_sides(d1, d2)
+    sides = _pair_params(params)
+    (p1, q1), (p2, q2) = sides
+    gram = np.diag(np.outer(_signs(p1, q1), _signs(p2, q2)).ravel())
+    members = [(f"O({p},{q})", so_pq_basis(_signs(p, q)),
+                [(f"r{s}", reflection(p + q, k)) for s, k, _ in _sign_blocks(p, q)], [])
+               for p, q in sides]
+    return _pair("O_real", params, *_frame(gram), _kron_sides(p1 + q1, p2 + q2), members)
 
-    def side(k, p, q, eps):
-        comps = [("r+", _reflection(p + q, 0))] if p >= 1 else []
-        if q >= 1:
-            comps.append(("r-", _reflection(p + q, p)))
-        return _side(Embedding(space, k, P.T, P), f"O({p},{q})", so_pq_basis(eps), comps, [])
-
-    return DualPairSpec("O_real", params, space, side(kG, p1, q1, eps1), side(kGp, p2, q2, eps2))
-
-
-# ---------------------------------------------------------------------------
-# unitary pairs
-# ---------------------------------------------------------------------------
 
 def build_U(params) -> DualPairSpec:
-    (p1, q1), (p2, q2) = _pair_params(params)
-    d1, d2 = p1 + q1, p2 + q2
-    eps1 = [1] * p1 + [-1] * q1
-    eps2 = [1] * p2 + [-1] * q2
+    sides = _pair_params(params)
+    (p1, q1), (p2, q2) = sides
     # realified norms of Re(h1 ox h2): eps_i * eps_j on both w and i*w slots
-    nat = [eps1[i] * eps2[j] for i in range(d1) for j in range(d2)]
-    P, norms = orthogonalize_real_gram(np.diag(nat + nat))
-    space = QuadraticSpace("real", norms)
-    _check_signature(space, (2 * (p1 * p2 + q1 * q2), 2 * (p1 * q2 + q1 * p2)), "U")
-    kG, kGp = _kron_sides(d1, d2)
+    nat = np.outer(_signs(p1, q1), _signs(p2, q2)).ravel()
+    models = [lambda g, k=k: realify_complex_matrix(k(g)) for k in _kron_sides(p1 + q1, p2 + q2)]
+    # one loop per nontrivial compact unitary factor: U(p) at the first +slot,
+    # U(q) at the first -slot
+    members = [(f"U({p},{q})", u_pq_basis(p, q), [],
+                [(f"U({size})[{tag}{s}]", _E(p + q, k, k, 1j)) for s, k, size in _sign_blocks(p, q)])
+               for (p, q), tag in zip(sides, _TAGS)]
+    return _pair("U", params, *_frame(np.diag(np.tile(nat, 2))), models, members)
 
-    def side(k, p, q, tag):
-        # one loop per nontrivial compact unitary factor: U(p) at the first +slot,
-        # U(q) at the first -slot
-        loops = [(f"U({p})[{tag}+]", _E(p + q, 0, 0, 1j))] if p >= 1 else []
-        if q >= 1:
-            loops.append((f"U({q})[{tag}-]", _E(p + q, p, p, 1j)))
-        emb = Embedding(space, lambda g: realify_complex_matrix(k(g)), P.T, P)
-        return _side(emb, f"U({p},{q})", u_pq_basis(p, q), [], loops)
-
-    return DualPairSpec("U", params, space, side(kG, p1, q1, "G"), side(kGp, p2, q2, "G'"))
-
-
-# ---------------------------------------------------------------------------
-# real symplectic pairs
-# ---------------------------------------------------------------------------
 
 def _omega(n: int) -> np.ndarray:
     return np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
@@ -324,97 +367,55 @@ def _omega(n: int) -> np.ndarray:
 
 def build_Sp_R(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    gram = np.kron(_omega(n1), _omega(n2))
-    P, norms = orthogonalize_real_gram(gram)
-    Pinv = np.linalg.inv(P)
-    space = QuadraticSpace("real", norms)
-    _check_signature(space, (2 * n1 * n2, 2 * n1 * n2), "Sp_R")
-    kG, kGp = _kron_sides(2 * n1, 2 * n2)
-
-    def side(k, n, tag):
-        return _side(Embedding(space, k, Pinv, P), f"Sp({2*n},R)",
-                     sp_2n_basis(n), [],
-                     [(f"U({n})[{tag}]", _E(2 * n, n, 0) - _E(2 * n, 0, n))])
-
-    return DualPairSpec("Sp_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
+    members = [(f"Sp({2*n},R)", sp_2n_basis(n), [], [(f"U({n})[{tag}]", _rotation(2 * n, n))])
+               for n, tag in zip((n1, n2), _TAGS)]
+    return _pair("Sp_R", params, *_frame(np.kron(_omega(n1), _omega(n2))),
+                 _kron_sides(2 * n1, 2 * n2), members)
 
 
-# ---------------------------------------------------------------------------
-# complex orthogonal / symplectic pairs
-# ---------------------------------------------------------------------------
+def build_Sp_C(params) -> DualPairSpec:
+    n1, n2 = _int_params(params)
+    # Sp_R's frame made complex orthonormal: its matrices are complexify(Sp_R)'s
+    return _pair("Sp_C", params, *_frame(np.kron(_omega(n1), _omega(n2)), "complex"),
+                 _kron_sides(2 * n1, 2 * n2), [(f"Sp({2*n},C)", sp_2n_basis(n), [], [])
+                                               for n in (n1, n2)])
+
 
 def build_O_C(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
     if n1 < 2 or n2 < 2:
         raise ClassificationError("O(n,C) pairs require n1, n2 >= 2")
     Pkl = tensor_kl_permutation(n1, n2)
-    space = complex_space(n1 * n2)
-    kG, kGp = _kron_sides(n1, n2)
-
-    def side(k, n, tag):
-        return _side(Embedding(space, k, Pkl, Pkl.T), f"O({n},C)",
-                     so_n_complex_basis(n), [("r", _reflection(n))],
-                     [(f"SO({n})[{tag}]", _E(n, 1, 0) - _E(n, 0, 1))])
-
-    return DualPairSpec("O_C", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
+    members = [(f"O({n},C)", so_n_complex_basis(n), [("r", reflection(n))],
+                [(f"SO({n})[{tag}]", _rotation(n))]) for n, tag in zip((n1, n2), _TAGS)]
+    return _pair("O_C", params, complex_space(n1 * n2), Pkl, Pkl.T, _kron_sides(n1, n2), members)
 
 
-def build_Sp_C(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
-    # Sp_R's frame made complex orthonormal: its matrices are complexify(Sp_R)'s
-    P, norms = orthogonalize_real_gram(np.kron(_omega(n1), _omega(n2)))
-    c = complex_scales(norms)
-    left, right = c[:, None] * np.linalg.inv(P), P / c
-    space = complex_space(4 * n1 * n2)
-    kG, kGp = _kron_sides(2 * n1, 2 * n2)
-
-    def side(k, n):
-        return _side(Embedding(space, k, left, right), f"Sp({2*n},C)", sp_2n_basis(n), [], [])
-
-    return DualPairSpec("Sp_C", params, space, side(kG, n1), side(kGp, n2))
-
-
-# ---------------------------------------------------------------------------
-# quaternionic pairs
-# ---------------------------------------------------------------------------
-
-def _fixed_models(J1: np.ndarray, J2: np.ndarray):
+def _fixed_models(n1: int, n2: int):
     """Basis R of Fix(J1 ox J2 . conj) and both side models restricted to it."""
-    R = fixed_real_basis(J1, J2)
-    kG, kGp = _kron_sides(J1.shape[0], J2.shape[0])
-    return R, (lambda X: R.conj().T @ kG(X) @ R), (lambda X: R.conj().T @ kGp(X) @ R)
+    R = fixed_real_basis(quaternion_J(n1), quaternion_J(n2))
+    return R, [lambda X, k=k: R.conj().T @ k(X) @ R for k in _kron_sides(2 * n1, 2 * n2)]
 
 
-def _quat_tensor_spec(family: str, params, K1, K2, J1, J2, expected_sig,
-                      name1, name2, lie1, lie2, loops1, loops2) -> DualPairSpec:
-    """Shared machinery: restrict kron actions to Fix(J1 ox J2 . conj)."""
-    R, mG, mGp = _fixed_models(J1, J2)
-    gram_c = R.T @ np.kron(K1, K2) @ R
-    if np.abs(gram_c.imag).max() > 1e-10:
+def _quat_pair(family: str, params, K1: np.ndarray, K2: np.ndarray, members) -> DualPairSpec:
+    """The pair on Fix(J1 ox J2 . conj), where the tensor form K1 ox K2 is real."""
+    R, models = _fixed_models(len(K1) // 2, len(K2) // 2)
+    gram = R.T @ np.kron(K1, K2) @ R
+    if np.abs(gram.imag).max() > 1e-10:
         raise RuntimeError(f"{family}: tensor form is not real on the fixed subspace")
-    P, norms = orthogonalize_real_gram(gram_c.real)
-    Pinv = np.linalg.inv(P)
-    space = QuadraticSpace("real", norms)
-    _check_signature(space, expected_sig, family)
-    G = _side(Embedding(space, mG, Pinv, P), name1, lie1, [], loops1)
-    Gp = _side(Embedding(space, mGp, Pinv, P), name2, lie2, [], loops2)
-    return DualPairSpec(family, params, space, G, Gp)
+    return _pair(family, params, *_frame(gram.real), models, members)
 
 
 def build_Sp_H(params) -> DualPairSpec:
-    (p1, q1), (p2, q2) = _pair_params(params)
-    n1, n2 = p1 + q1, p2 + q2
+    sides = _pair_params(params)
 
     def KD(p, q):
-        D = np.diag([1.0] * p + [-1.0] * q).astype(complex)
+        D = np.diag(_signs(p, q)).astype(complex)
         z = np.zeros_like(D)
         return np.block([[z, D], [-D, z]])
 
-    return _quat_tensor_spec(
-        "Sp_H", params, KD(p1, q1), KD(p2, q2), quaternion_J(n1), quaternion_J(n2),
-        (4 * (p1 * p2 + q1 * q2), 4 * (p1 * q2 + q1 * p2)),
-        f"Sp({p1},{q1},H)", f"Sp({p2},{q2},H)",
-        sp_pq_quat_basis(p1, q1), sp_pq_quat_basis(p2, q2), [], [])
+    return _quat_pair("Sp_H", params, *(KD(p, q) for p, q in sides),
+                      [(f"Sp({p},{q},H)", sp_pq_quat_basis(p, q), [], []) for p, q in sides])
 
 
 def build_O_star(params) -> DualPairSpec:
@@ -427,84 +428,36 @@ def build_O_star(params) -> DualPairSpec:
         return 1j * S.astype(complex)
 
     # J aligned with S = antidiag so that U(n) sits as diag(u, conj(u))
-    return _quat_tensor_spec(
-        "O_star", params, KS(n1), KS(n2), quaternion_J(n1), quaternion_J(n2),
-        (2 * n1 * n2, 2 * n1 * n2),
-        f"O*({2*n1})", f"O*({2*n2})",
-        ostar_basis(n1), ostar_basis(n2),
-        [(f"U({n1})[G]", _E(2 * n1, 0, 0, 1j) - _E(2 * n1, n1, n1, 1j))],
-        [(f"U({n2})[G']", _E(2 * n2, 0, 0, 1j) - _E(2 * n2, n2, n2, 1j))])
+    return _quat_pair("O_star", params, KS(n1), KS(n2),
+                      [(f"O*({2*n})", ostar_basis(n), [],
+                        [(f"U({n})[{tag}]", _E(2 * n, 0, 0, 1j) - _E(2 * n, n, n, 1j))])
+                       for n, tag in zip((n1, n2), _TAGS)])
 
 
-# ---------------------------------------------------------------------------
 # type-II general linear pairs: E = E1 + E1^* with split form
-# ---------------------------------------------------------------------------
-
-def _split_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(left, right) of the change to b_+- = (e +- e*)/sqrt(2) on E1 + E1*.
-
-    The orthonormal frame is H/sqrt(2) with the integer H = [[I, I], [I, -I]];
-    since H H = 2I, left = H and right = H/2 give the same conjugation with
-    no rounding, so sign-matrix component reps embed to exact sign matrices.
-    """
-    I = np.eye(d)
-    H = np.block([[I, I], [I, -I]])
-    return H, H / 2.0
-
 
 def build_GL_R(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    left, right = _split_frame(n1 * n2)
-    space = real_space(n1 * n2, n1 * n2)
-    kG, kGp = _kron_sides(n1, n2)
-
-    def side(k, n, tag):
-        loops = [(f"SO({n})[{tag}]", _E(n, 1, 0) - _E(n, 0, 1))] if n >= 2 else []
-        return _side(Embedding(space, k, left, right, dual=True), f"GL({n},R)",
-                     gl_real_basis(n), [("s", _reflection(n))], loops)
-
-    return DualPairSpec("GL_R", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
+    members = [(f"GL({n},R)", gl_real_basis(n), [("s", reflection(n))],
+                [(f"SO({n})[{tag}]", _rotation(n))] if n >= 2 else [])
+               for n, tag in zip((n1, n2), _TAGS)]
+    return _pair("GL_R", params, *_split_frame(n1 * n2), _kron_sides(n1, n2), members, dual=True)
 
 
 def build_GL_H(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
-    _, mG, mGp = _fixed_models(quaternion_J(n1), quaternion_J(n2))
-    left, right = _split_frame(4 * n1 * n2)
-    space = real_space(4 * n1 * n2, 4 * n1 * n2)
-
-    def quat_gl_basis(n):
-        z = np.zeros((n, n), dtype=complex)
-        out = []
-        for a in range(n):
-            for b in range(n):
-                out.append((_E(n, a, b), z))
-                out.append((_E(n, a, b, 1j), z))
-                out.append((z, _E(n, a, b)))
-                out.append((z, _E(n, a, b, 1j)))
-        return out
-
-    def side(m, n):
-        return _side(Embedding(space, m, left, right, dual=True), f"GL({n},H)",
-                     quat_gl_basis(n), [], [])
-
-    return DualPairSpec("GL_H", params, space, side(mG, n1), side(mGp, n2))
+    _, models = _fixed_models(n1, n2)
+    return _pair("GL_H", params, *_split_frame(4 * n1 * n2), models,
+                 [(f"GL({n},H)", gl_quat_basis(n), [], []) for n in (n1, n2)], dual=True)
 
 
 def build_GL_C_complex(params) -> DualPairSpec:
     n1, n2 = _int_params(params)
     # GL_R's split frame made complex orthonormal: its matrices are complexify(GL_R)'s
-    H, Hinv = _split_frame(n1 * n2)
-    c = complex_scales(real_space(n1 * n2, n1 * n2).norms)
-    left, right = c[:, None] * H, Hinv / c
-    space = complex_space(2 * n1 * n2)
-    kG, kGp = _kron_sides(n1, n2)
-
-    def side(k, n, tag):
-        return _side(Embedding(space, k, left, right, dual=True), f"GL({n},C)",
-                     gl_real_basis(n), [],
-                     [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
-
-    return DualPairSpec("GL_C_complex", params, space, side(kG, n1, "G"), side(kGp, n2, "G'"))
+    members = [(f"GL({n},C)", gl_real_basis(n), [], [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
+               for n, tag in zip((n1, n2), _TAGS)]
+    return _pair("GL_C_complex", params, *_split_frame(n1 * n2, "complex"), _kron_sides(n1, n2),
+                 members, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +480,17 @@ FAMILY_BUILDERS: Dict[str, Callable] = {
     "GL_C_complex": build_GL_C_complex,
 }
 
-PAIR_PARAM_FAMILIES = {"O_real", "U", "Sp_H"}
-
-# dim E = DIM_FACTOR * d1 * d2 with d_i = p_i + q_i or n_i: the ambient
-# signatures of the module docstring, known before anything is built
-DIM_FACTOR: Dict[str, int] = {
-    "O_real": 1, "U": 2, "Sp_R": 4, "O_C_real": 2, "Sp_C_real": 8, "Sp_H": 4, "O_star": 4,
-    "GL_R": 2, "GL_C": 4, "GL_H": 8, "O_C": 1, "Sp_C": 4, "GL_C_complex": 2,
+# the ambient signature of each family, as (factor, kind): factor times
+# (p1p2+q1q2, p1q2+q1p2) for "pair", (n1n2, n1n2) for "split" and (n1n2, 0)
+# for "complex"; the table of the module docstring
+SIGNATURE: Dict[str, Tuple[int, str]] = {
+    "O_real": (1, "pair"), "U": (2, "pair"), "Sp_H": (4, "pair"),
+    "Sp_R": (2, "split"), "O_C_real": (1, "split"), "Sp_C_real": (4, "split"),
+    "O_star": (2, "split"), "GL_R": (1, "split"), "GL_C": (2, "split"), "GL_H": (4, "split"),
+    "O_C": (1, "complex"), "Sp_C": (4, "complex"), "GL_C_complex": (2, "complex"),
 }
+
+PAIR_PARAM_FAMILIES = {family for family, (_, kind) in SIGNATURE.items() if kind == "pair"}
 
 # smallest parameters at which each family is an honest member of the
 # classification (size-1 exclusions respected)
@@ -577,23 +533,34 @@ def normalize_params(family: str, params) -> tuple:
     return tuple(map(_integer, _two(params)))
 
 
+def ambient_signature(family: str, params: tuple) -> Tuple[int, int]:
+    """Signature of E for a family instance, from its normalized parameters."""
+    factor, kind = SIGNATURE[family]
+    if kind == "pair":
+        (p1, q1), (p2, q2) = _pair_params(params)
+        return factor * (p1 * p2 + q1 * q2), factor * (p1 * q2 + q1 * p2)
+    n1, n2 = _int_params(params)
+    return factor * n1 * n2, factor * n1 * n2 if kind == "split" else 0
+
+
 def ambient_dim(family: str, params: tuple) -> int:
     """dim E of a family instance, from its normalized parameters."""
-    if family in PAIR_PARAM_FAMILIES:
-        (p1, q1), (p2, q2) = _pair_params(params)
-        d1, d2 = p1 + q1, p2 + q2
-    else:
-        d1, d2 = _int_params(params)
-    return DIM_FACTOR[family] * d1 * d2
+    return sum(ambient_signature(family, params))
 
 
 def build_pair(family: str, params) -> DualPairSpec:
     """Instantiate one classified family; raises ClassificationError on excluded sizes,
-    and on an ambient dimension above clifford.MAX_DIM before the builder runs."""
+    and on an ambient dimension above clifford.MAX_DIM before the builder runs.
+    A built space off the family's ambient signature is a RuntimeError."""
     if family not in FAMILY_BUILDERS:
         raise ClassificationError(f"unknown family {family!r}")
     params = normalize_params(family, params)
     dim = ambient_dim(family, params)
     if dim > MAX_DIM:
         raise ClassificationError(f"{family}{params}: ambient dimension {dim} above {MAX_DIM}")
-    return FAMILY_BUILDERS[family](params)
+    spec = FAMILY_BUILDERS[family](params)
+    signature = ambient_signature(family, params)
+    if spec.space.signature != signature:
+        raise RuntimeError(f"{family}{params}: ambient signature {spec.space.signature} "
+                           f"!= {signature}")
+    return spec

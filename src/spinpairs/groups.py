@@ -61,9 +61,9 @@ class LieElement:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix))
 
-    def is_b_antisymmetric(self, tol: float = ISOMETRY_TOL) -> bool:
+    def is_b_antisymmetric(self) -> bool:
         B = np.diag(np.array(self.space.norms, dtype=float))
-        return bool(np.allclose(self.matrix.T @ B + B @ self.matrix, 0, atol=tol))
+        return bool(np.allclose(self.matrix.T @ B + B @ self.matrix, 0, atol=ISOMETRY_TOL))
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from .clifford import (ExteriorElement, QuadraticSpace, _mask_indices, chevalley_T,
                        complex_space, exterior_blade_images, reorder_sign)
+from .families import gl_real_basis, reflection, so_n_complex_basis, sp_2n_basis
 from .groups import ComplexifiedPair, DimensionCapError, DualPairSpec, complexify
 from .pin import lift
 from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, pi_rep
@@ -304,6 +306,15 @@ def invariants(spec: DualPairSpec, side: str,
 # Howe's generator theorems on standalone tensor models
 # ---------------------------------------------------------------------------
 
+def _wedge_sum(space: QuadraticSpace, terms: Iterable[Tuple[int, int, int]]) -> ExteriorElement:
+    """The degree-2 element sum of s e_i ^ e_j over the (s, i, j) of terms."""
+    acc = ExteriorElement(space, {})
+    for s, i, j in terms:
+        w = ExteriorElement(space, {1 << i: 1.0}) ^ ExteriorElement(space, {1 << j: 1.0})
+        acc = acc + w if s > 0 else acc - w
+    return acc
+
+
 @dataclass
 class GLModel:
     """GL(V) acting on V ox U + V* ox W; invariants generated in degree 2.
@@ -323,34 +334,16 @@ class GLModel:
         return complex_space(self.dim)
 
     def lie(self) -> List[np.ndarray]:
-        out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                X = np.zeros((self.n, self.n), dtype=complex)
-                X[a, b] = 1.0
-                out.append(np.block([
-                    [np.kron(X, np.eye(self.m)), np.zeros((self.n * self.m, self.n * self.l))],
-                    [np.zeros((self.n * self.l, self.n * self.m)), np.kron(-X.T, np.eye(self.l))],
-                ]))
-        return out
+        return [sla.block_diag(np.kron(X, np.eye(self.m)), np.kron(-X.T, np.eye(self.l)))
+                for X in gl_real_basis(self.n)]
 
     def comps(self) -> List[np.ndarray]:
         return []
 
     def generators(self) -> List[ExteriorElement]:
-        sp = self.space()
-        out = []
-        for a in range(self.m):
-            for b in range(self.l):
-                acc = ExteriorElement(sp, {})
-                for k in range(self.n):
-                    i1 = k * self.m + a
-                    i2 = self.n * self.m + k * self.l + b
-                    e1 = ExteriorElement(sp, {1 << i1: 1.0})
-                    e2 = ExteriorElement(sp, {1 << i2: 1.0})
-                    acc = acc + (e1 ^ e2)
-                out.append(acc)
-        return out
+        n, m, l = self.n, self.m, self.l
+        return [_wedge_sum(self.space(), [(1, k * m + a, n * m + k * l + b) for k in range(n)])
+                for a in range(m) for b in range(l)]
 
 
 @dataclass
@@ -368,32 +361,15 @@ class OModel:
         return complex_space(self.dim)
 
     def lie(self) -> List[np.ndarray]:
-        out = []
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                X = np.zeros((self.n, self.n), dtype=complex)
-                X[a, b] = 1.0
-                X[b, a] = -1.0
-                out.append(np.kron(X, np.eye(self.m)))
-        return out
+        return [np.kron(X, np.eye(self.m)) for X in so_n_complex_basis(self.n)]
 
     def comps(self) -> List[np.ndarray]:
-        r = np.eye(self.n, dtype=complex)
-        r[0, 0] = -1.0
-        return [np.kron(r, np.eye(self.m))]
+        return [np.kron(reflection(self.n), np.eye(self.m)).astype(complex)]
 
     def generators(self) -> List[ExteriorElement]:
-        sp = self.space()
-        out = []
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                acc = ExteriorElement(sp, {})
-                for k in range(self.n):
-                    e1 = ExteriorElement(sp, {1 << (k * self.m + a): 1.0})
-                    e2 = ExteriorElement(sp, {1 << (k * self.m + b): 1.0})
-                    acc = acc + (e1 ^ e2)
-                out.append(acc)
-        return out
+        n, m = self.n, self.m
+        return [_wedge_sum(self.space(), [(1, k * m + a, k * m + b) for k in range(n)])
+                for a in range(m) for b in range(a + 1, m)]
 
 
 @dataclass
@@ -414,26 +390,16 @@ class SpModel:
         return complex_space(self.dim)
 
     def lie(self) -> List[np.ndarray]:
-        from .families import sp_2n_basis
         return [np.kron(X, np.eye(self.m)) for X in sp_2n_basis(self.n)]
 
     def comps(self) -> List[np.ndarray]:
         return []
 
     def generators(self) -> List[ExteriorElement]:
-        sp = self.space()
-        out = []
-        for a in range(self.m):
-            for b in range(a, self.m):
-                acc = ExteriorElement(sp, {})
-                for k in range(self.n):
-                    ek_a = ExteriorElement(sp, {1 << (k * self.m + a): 1.0})
-                    fk_b = ExteriorElement(sp, {1 << ((self.n + k) * self.m + b): 1.0})
-                    fk_a = ExteriorElement(sp, {1 << ((self.n + k) * self.m + a): 1.0})
-                    ek_b = ExteriorElement(sp, {1 << (k * self.m + b): 1.0})
-                    acc = acc + (ek_a ^ fk_b) - (fk_a ^ ek_b)
-                out.append(acc)
-        return out
+        n, m = self.n, self.m
+        return [_wedge_sum(self.space(), [t for k in range(n) for t in (
+                    (1, k * m + a, (n + k) * m + b), (-1, (n + k) * m + a, k * m + b))])
+                for a in range(m) for b in range(a, m)]
 
 
 def wedge_matrix(g: ExteriorElement, d_from: int, d_to: int) -> np.ndarray:

@@ -15,7 +15,7 @@ and the blade-extension gamma~ is an algebra isomorphism onto End(S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .groups import LieElement
 from .pin import PinElement
 
 MAX_HALF_DIM = 8
-ANTISYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,14 @@ def pi_rep(sp: SpinorSpace, x: PinElement) -> np.ndarray:
     return gamma_tilde(sp, val)
 
 
-def lie_to_clifford(X: Union[LieElement, np.ndarray],
-                    space: Optional[QuadraticSpace] = None) -> CliffordElement:
+def lie_to_clifford(X: np.ndarray, space: QuadraticSpace) -> CliffordElement:
     """Degree-2 Clifford realization Q(X) with [Q(X), v] = Xv for vectors v.
 
     Q(X) = (1/4) sum_k norms[k] (X e_k) e_k; requires X antisymmetric for the
     form.  Linear in X and a Lie-algebra map for commutators.
     """
-    if isinstance(X, LieElement):
-        space = X.space
-        M = np.asarray(X.matrix, dtype=complex)
-    else:
-        if space is None:
-            raise ValueError("pass a QuadraticSpace together with a bare matrix")
-        M = np.asarray(X, dtype=complex)
-    B = np.diag(np.array(space.norms, dtype=float))
-    if not np.allclose(M.T @ B + B @ M, 0, atol=ANTISYMMETRY_TOL):
+    M = np.asarray(X, dtype=complex)
+    if not LieElement(space, M).is_b_antisymmetric():
         raise ValueError("matrix is not antisymmetric for the quadratic form")
     n = space.dim
     acc = CliffordElement(space, {})

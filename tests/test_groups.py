@@ -1,5 +1,7 @@
 """Family embeddings: realifications, signatures, commutation, complexification."""
 
+import ast
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -8,10 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spinpairs import families
+from spinpairs import families, howe
 from spinpairs.cli import load_expected_table
-from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, build_pair, normalize_params,
-                                sp_pq_quat_basis, u_pq_basis)
+from spinpairs.clifford import real_space
+from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, ambient_signature, build_pair,
+                                normalize_params, sp_pq_quat_basis, u_pq_basis)
 from spinpairs.groups import (ClassificationError, ComponentRep, LieElement, OrthogonalMap,
                               complexify, fixed_real_basis, orthogonalize_real_gram,
                               quaternion_J, quaternion_matrix_product, realify_complex_matrix,
@@ -153,6 +156,19 @@ SIGNATURE_CASES = [
 def test_ambient_signature_matches_classification(family, params, signature):
     spec = build_pair(family, params)
     assert spec.space.signature == signature
+    assert ambient_signature(family, normalize_params(family, params)) == signature
+
+
+@pytest.mark.parametrize("family", sorted(MINIMAL_PARAMS))
+def test_build_pair_rejects_a_space_off_the_signature_table(family, monkeypatch):
+    params = MINIMAL_PARAMS[family]
+    spec = build_pair(family, params)
+    p, q = spec.space.signature
+    wrong = real_space(q, p) if p != q else real_space(p + 1, q - 1)
+    monkeypatch.setitem(families.FAMILY_BUILDERS, family,
+                        lambda params: dataclasses.replace(spec, space=wrong))
+    with pytest.raises(RuntimeError, match="ambient signature"):
+        build_pair(family, params)
 
 
 def test_excluded_sizes_rejected():
@@ -340,6 +356,31 @@ def test_permutation_frames_embed_integer_generators():
             assert np.isin(X.matrix, (-1.0, 0.0, 1.0)).all(), (family, a, b)
             checked += 1
     assert checked > 100
+
+
+def test_pairs_have_one_constructor_and_the_models_reuse_the_family_bases():
+    # every builder hands a frame, two side models and two members to _pair, the
+    # signatures live in one table, and howe's models build no Lie basis of their own
+    tree = ast.parse(Path(families.__file__).read_text())
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    callers = {f.name for f in functions for node in ast.walk(f)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DualPairSpec"}
+    assert callers == {"_pair", "realified"}
+    closures = {node.name for f in functions for node in ast.walk(f)
+                if isinstance(node, ast.FunctionDef) and node is not f}
+    assert "side" not in closures
+    text = Path(families.__file__).read_text()
+    assert "_check_signature" not in text and "DIM_FACTOR" not in text
+    bases = {name for name in vars(families) if name.endswith("_basis")}
+    models = [c for c in ast.parse(Path(howe.__file__).read_text()).body
+              if isinstance(c, ast.ClassDef) and c.name.endswith("Model")]
+    assert len(models) == 3
+    for cls in models:
+        methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+        assert {n.id for n in ast.walk(methods["lie"]) if isinstance(n, ast.Name)} & bases, cls.name
+        for name in ("lie", "comps"):
+            assert not any(isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                           for n in ast.walk(methods[name])), (cls.name, name)
 
 
 def test_every_frame_comes_from_groups_or_the_split_frame():

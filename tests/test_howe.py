@@ -283,6 +283,38 @@ def test_generator_theorems(model):
         assert gen_dim == inv_dim, (d, report)
 
 
+def _wedge_sums(model):
+    # the degree-2 generators of the three theorems, each a sum of wedges of basis vectors
+    sp = model.space()
+
+    def e(i):
+        return ExteriorElement(sp, {1 << i: 1.0})
+
+    def total(wedges):
+        acc = ExteriorElement(sp, {})
+        for w in wedges:
+            acc = acc + w
+        return acc
+
+    n, m = model.n, model.m
+    if isinstance(model, GLModel):
+        return [total(e(k * m + a) ^ e(n * m + k * model.l + b) for k in range(n))
+                for a in range(m) for b in range(model.l)]
+    if isinstance(model, OModel):
+        return [total(e(k * m + a) ^ e(k * m + b) for k in range(n))
+                for a in range(m) for b in range(a + 1, m)]
+    return [total(w for k in range(n) for w in (e(k * m + a) ^ e((n + k) * m + b),
+                                                -(e((n + k) * m + a) ^ e(k * m + b))))
+            for a in range(m) for b in range(a, m)]
+
+
+@pytest.mark.parametrize("model", GENERATION_GRID, ids=lambda m: repr(m))
+def test_generators_are_the_wedge_sums_of_the_theorems(model):
+    got, want = model.generators(), _wedge_sums(model)
+    assert len(got) == len(want)
+    assert all(g.equals_exact(w) for g, w in zip(got, want))
+
+
 def test_verify_generation_rejects_a_non_invariant_generator():
     # the reflection in comps negates e0 ^ e2, though so(2) kills it
     class WithExtra(OModel):
