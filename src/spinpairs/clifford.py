@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,9 +218,6 @@ class _BladeMap:
         if isinstance(s, _BladeMap):
             return NotImplemented
         return self.scale(s)
-
-    def items(self) -> Iterator[Tuple[int, complex]]:
-        return iter(sorted(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

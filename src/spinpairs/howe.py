@@ -19,6 +19,7 @@ the brute-force invariant dimensions as the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -202,8 +203,9 @@ def joint_nullspace(constraints: Iterable[np.ndarray], dim: int) -> np.ndarray:
 # exterior algebra actions, per degree
 # ---------------------------------------------------------------------------
 
-def blades_of_degree(N: int, d: int) -> List[int]:
-    return [sum(1 << i for i in comb) for comb in itertools.combinations(range(N), d)]
+@functools.lru_cache(maxsize=None)
+def blades_of_degree(N: int, d: int) -> Tuple[int, ...]:
+    return tuple(sum(1 << i for i in comb) for comb in itertools.combinations(range(N), d))
 
 
 def _degree_matrix(N: int, d_from: int, d_to: int,

@@ -7,10 +7,12 @@ surjection onto the isometry group with kernel {+-1} over the reals, and a
 unit vector projects to the reflection negating it, which is what the
 Cartan-Dieudonne factorization feeds on.
 
-Isometries are lifted by reflection factorization; extension classes of
-embedded subgroups are read off by tracking lifts along compact loops and
-recording whether the lift closes up (+1) or returns to minus itself (-1),
-a sign each loop's weight parity must confirm.
+Isometries are lifted by reflection factorization.  Extension classes of
+embedded subgroups are read off the compact loops, one lift, then a power:
+a loop theta -> exp(theta X) lifts to a one-parameter subgroup of Pin, so
+the first step of n is lifted once and raised to the n-th power, and the
+end records whether the lift closes up (+1) or returns to minus itself
+(-1), a sign each loop's weight parity must confirm.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ MAX_COMMUTATOR_TERM_PAIRS = 1 << 24
 
 class LiftError(RuntimeError):
     """Reflection factorization or path tracking failed."""
-
-
-class AmbiguousPathError(LiftError):
-    """Consecutive path lifts nearly equidistant from both preimages."""
 
 
 class NotPinError(ValueError):
@@ -238,52 +236,47 @@ def all_commute(records: Sequence[dict]) -> bool:
 # path lifting and extension classification
 # ---------------------------------------------------------------------------
 
-def _closer_sign(x: CliffordElement, ref: CliffordElement) -> Tuple[CliffordElement, float, float]:
-    dplus = x.distance(ref)
-    dminus = (-x).distance(ref)
-    if dminus < dplus:
-        return -x, dminus, dplus
-    return x, dplus, dminus
-
-
 def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
                    max_steps: int = MAX_PATH_STEPS) -> int:
-    """Track the lift of a closed loop; +1 if it closes up, -1 if it flips.
+    """One lift, then a power: +1 if a closed loop's lift closes up, -1 if it flips.
 
     +1 means the double cover restricted to this loop is disconnected
     (trivial over the loop); -1 means the preimage is a connected double
-    cover.  Steps auto-refine when consecutive lifts sit nearly equidistant
-    from both preimages.  A single step (or none) cannot see a flip, so
-    ``steps`` must be at least 2, and at most ``max_steps``.
+    cover.  The loop theta -> exp(theta X) lifts to a one-parameter subgroup,
+    so with x the preimage of the first step ``at(2 pi / n)`` nearer to +1,
+    the lift at step k is x^k and the path ends at x^n, which must be a
+    central +-1.  n starts at ``steps`` (at least 2, since one step cannot
+    see a flip, and at most ``max_steps``) and doubles while both preimages
+    of the first step sit nearly equidistant from +1.
     """
     if not 2 <= steps <= max_steps:
         raise ValueError(f"loop {loop.name}: path lifting needs 2 <= steps <= {max_steps}, "
                          f"got {steps}")
+    one = scalar_element(loop.space, 1.0)
     n = steps
-    while n <= max_steps:
-        try:
-            return _loop_attempt(loop, n)
-        except AmbiguousPathError:
-            n *= 2
-    # n has just doubled past max_steps: n // 2 is the finest count tried
-    raise LiftError(f"loop {loop.name}: path lifting ambiguous even at {n // 2} steps")
-
-
-def _loop_attempt(loop: LoopGenerator, n: int) -> int:
-    # every loop starts at the identity, whose lift +1 fixes the sign
-    prev = x0 = scalar_element(loop.space, 1.0)
-    for k in range(1, n + 1):
-        theta = 2.0 * np.pi * k / n
-        xk = lift(loop.at(theta)).value
-        chosen, dnear, dfar = _closer_sign(xk, prev)
-        if dnear > 0.5 * dfar:
-            raise AmbiguousPathError(f"step {k}/{n} of {loop.name}")
-        prev = chosen
-    dplus = prev.distance(x0)
-    dminus = (-prev).distance(x0)
-    if min(dplus, dminus) > 0.5 * max(dplus, dminus):
-        raise AmbiguousPathError(f"endpoint of {loop.name}")
-    return 1 if dplus < dminus else -1
+    while True:
+        x = lift(loop.at(2.0 * np.pi / n)).value
+        dplus, dminus = x.distance(one), (-x).distance(one)
+        if min(dplus, dminus) <= 0.5 * max(dplus, dminus):
+            break
+        if 2 * n > max_steps:
+            raise LiftError(f"loop {loop.name}: path lifting ambiguous even at {n} steps")
+        n *= 2
+    if dminus < dplus:
+        x = -x
+    # x^n by repeated squaring
+    end, k = one, n
+    while k:
+        if k & 1:
+            end = end * x
+        k >>= 1
+        if k:
+            x = x * x
+    sign = _scalar_sign(end, COMMUTATOR_TOL)
+    if sign is None:
+        raise LiftError(f"loop {loop.name}: the lift of the first of {n} steps, raised "
+                        f"to the power {n}, is not +-1; the loop does not close")
+    return sign
 
 
 @dataclass(frozen=True)
@@ -332,8 +325,10 @@ def classify_extension(spec: DualPairSpec, side: str,
                        steps: int = DEFAULT_PATH_STEPS) -> ExtensionClass:
     """Extension class of one side's lift, by path lifting its compact loops.
 
-    Each path-lifted sign is checked against the loop's weight parity; a
-    disagreement raises LiftError rather than yield a label.
+    Each loop is lifted once, at its first step, and the lift raised to the
+    power of the step count (``loop_lift_sign``).  Each sign is checked
+    against the loop's weight parity; a disagreement raises LiftError rather
+    than yield a label.
     """
     s = spec.side(side)
     if not s.loops:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from spinpairs import pin
 from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, blade,
                                 exterior_vector, chevalley_T, real_space, scalar_element)
 from spinpairs.cli import load_expected_table
@@ -336,6 +337,29 @@ def test_path_lift_fails_when_refinement_capped():
     for steps, finest in ((256, 256), (3, 192)):
         with pytest.raises(LiftError, match=f"ambiguous even at {finest} steps"):
             loop_lift_sign(fast, steps=steps, max_steps=256)
+
+
+def test_path_lift_lifts_once(monkeypatch):
+    # the lift at step k is the first step's lift to the k-th power
+    calls = []
+
+    def counting_lift(g):
+        calls.append(g)
+        return lift(g)
+
+    monkeypatch.setattr(pin, "lift", counting_lift)
+    loop = build_pair("U", ((1, 0), (1, 0))).G.loops[0]
+    assert loop_lift_sign(loop, steps=256) == loop.weight_parity
+    assert len(calls) == 1
+
+
+def test_path_lift_rejects_a_loop_that_does_not_close():
+    class Overrun(LoopGenerator):
+        def at(self, theta):
+            return super().at(1.001 * theta)
+
+    with pytest.raises(LiftError, match="loop overrun: .* does not close"):
+        loop_lift_sign(Overrun("overrun", real_space(2), ROT))
 
 
 def test_loop_generator_weights_and_parity():
