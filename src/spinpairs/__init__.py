@@ -10,8 +10,8 @@ from .clifford import (CliffordElement, ExteriorElement, QuadraticSpace, blade,
                        blade_product, basis_vector, chevalley_T, chevalley_T_inv,
                        complex_space, complexify_element, from_vector, real_space,
                        scalar_element)
-from .groups import (ClassificationError, ComplexifiedPair, DualPairSpec, LieElement,
-                     OrthogonalMap, complexify, realify_quaternionic)
+from .groups import (ClassificationError, ComplexifiedPair, DualPairSpec, OrthogonalMap,
+                     complexify, realify_quaternionic)
 from .families import FAMILY_BUILDERS, MINIMAL_PARAMS, build_pair
 from .pin import (ExtensionClass, PinElement, classify_extension, commutator_pairing, lift,
                   loop_lift_sign, pin_element, project)

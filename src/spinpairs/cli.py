@@ -4,7 +4,8 @@ Subcommands run the three verification stages per dual pair -- lifted
 commutator verdicts, path-lifted extension classes, and the spinorial
 double-commutant check -- and compare the outcomes against the expected
 table shipped as package data.  Exit code 0 means every computed verdict
-matches the table, 1 flags a mismatch, and 2 a configuration error.
+matches the table, 1 flags a mismatch, and 2 a configuration error or a
+single-pair command whose stage was skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from . import __version__
 from .families import build_pair, normalize_params
 from .groups import ClassificationError, DimensionCapError
 from .howe import UnsupportedFamilyError, howe_check, invariants
-from .pin import MAX_PATH_STEPS, all_commute, classify_extension, commutator_pairing
+from .pin import (DEFAULT_PATH_STEPS, MAX_PATH_STEPS, all_commute, classify_extension,
+                  commutator_pairing)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -32,7 +34,7 @@ EXIT_CONFIG = 2
 @dataclass
 class RunConfig:
     pairs: List[Tuple[str, tuple]]
-    steps: int = 256
+    steps: int = DEFAULT_PATH_STEPS
     stages: Tuple[str, ...] = ("commute", "cover", "howe")
 
 
@@ -174,13 +176,13 @@ def _emit(report: dict, out: Optional[str], as_json: bool, problems: List[str]):
                 bits.append(f"cover G={rec['extension']['G']['label']} "
                             f"G'={rec['extension']['Gp']['label']}")
             elif "extension_skipped" in rec:
-                bits.append("cover=skipped")
+                bits.append(f"cover=skipped ({rec['extension_skipped']})")
             if rec.get("howe"):
                 h = rec["howe"]
                 bits.append(f"howe equal={h['equal']} mult_free={h['mult_free']} "
                             f"isotypic={h['isotypic_count']}")
             elif "howe_skipped" in rec:
-                bits.append("howe=skipped")
+                bits.append(f"howe=skipped ({rec['howe_skipped']})")
             click.echo(f"{tag}: " + "  ".join(bits))
     for p in problems:
         click.echo(f"MISMATCH: {p}", err=True)
@@ -192,7 +194,7 @@ STEPS = click.IntRange(2, MAX_PATH_STEPS)
 _common = [
     click.option("--family", required=True, help="family tag, e.g. U, Sp_R, GL_H"),
     click.option("--params", required=True, help="e.g. '(1,0),(1,1)' or '1,1'"),
-    click.option("--steps", type=STEPS, default=256, show_default=True,
+    click.option("--steps", type=STEPS, default=DEFAULT_PATH_STEPS, show_default=True,
                  help="path-lifting subdivisions"),
     click.option("--out", type=click.Path(), default=None, help="write the JSON report here"),
     click.option("--json", "as_json", is_flag=True, help="print the JSON report"),
@@ -217,8 +219,10 @@ def _single_pair_command(stages: Tuple[str, ...]):
         problems = compare_with_expected(report)
         _emit(report, out, as_json, problems)
         errors = [r["error"] for r in report["pairs"] if "error" in r]
-        if any(e["stage"] == "build" or e["kind"] == DimensionCapError.__name__
-               for e in errors):
+        # a skipped stage certified nothing, like an input over a size cap
+        skipped = any("extension_skipped" in r or "howe_skipped" in r for r in report["pairs"])
+        if skipped or any(e["stage"] == "build" or e["kind"] == DimensionCapError.__name__
+                          for e in errors):
             sys.exit(EXIT_CONFIG)
         if errors:
             sys.exit(EXIT_MISMATCH)
@@ -263,7 +267,7 @@ def invariants_cmd(family, params, side, as_json):
 
 
 @main.command("all")
-@click.option("--steps", type=STEPS, default=256, show_default=True)
+@click.option("--steps", type=STEPS, default=DEFAULT_PATH_STEPS, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def all_cmd(steps, out, as_json):

@@ -45,9 +45,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .clifford import MAX_DIM, QuadraticSpace, complex_space, real_space
-from .groups import (ClassificationError, ComponentRep, DualPairSpec, LieElement,
-                     LoopGenerator, OrthogonalMap, SideSpec, complex_scales,
-                     fixed_real_basis, orthogonalize_real_gram, quaternion_J,
+from .groups import (ClassificationError, ComponentRep, DualPairSpec, LoopGenerator,
+                     OrthogonalMap, SideSpec, complex_scales, fixed_real_basis,
+                     is_b_antisymmetric, orthogonalize_real_gram, quaternion_J,
                      realify_complex_matrix, realify_quaternionic, tensor_kl_permutation)
 
 
@@ -84,10 +84,6 @@ def so_pq_basis(norms: Sequence[int]) -> List[np.ndarray]:
         for b in range(a + 1, d):
             out.append(_E(d, a, b) - norms[a] * norms[b] * _E(d, b, a))
     return out
-
-
-def so_n_complex_basis(n: int) -> List[np.ndarray]:
-    return [_E(n, a, b) - _E(n, b, a) for a in range(n) for b in range(a + 1, n)]
 
 
 def sp_2n_basis(n: int) -> List[np.ndarray]:
@@ -196,21 +192,17 @@ def _checked_side(name: str, space: QuadraticSpace, lie, comps, loops,
     Every side passes here: generators must be b-antisymmetric and reps
     isometries; ``LoopGenerator`` checks that the loop weights are integers.
     """
-    def lie_element(X) -> LieElement:
-        L = LieElement(space, X)
-        if not L.is_b_antisymmetric():
+    for X in [*lie, *(X for _, X in loops)]:
+        if not is_b_antisymmetric(space, X):
             raise RuntimeError(f"{name}: embedded Lie element is not b-antisymmetric")
-        return L
-
     reps = []
     for cname, g in comps:
         om = OrthogonalMap(space, g)
         if not om.is_isometry():
             raise RuntimeError(f"{name}: component representative is not an isometry")
         reps.append(ComponentRep(cname, om))
-    return SideSpec(name, space, [lie_element(X) for X in lie], reps,
-                    [LoopGenerator(n, space, lie_element(X).matrix) for n, X in loops],
-                    embed_group)
+    return SideSpec(name, space, list(lie), reps,
+                    [LoopGenerator(n, space, X) for n, X in loops], embed_group)
 
 
 def _side(embedding: Embedding, name: str, lie, comps, loops) -> SideSpec:
@@ -281,7 +273,7 @@ def realified(family: str, build_complex: Callable) -> Callable:
         def realify(s: SideSpec) -> SideSpec:
             return _checked_side(
                 s.name, space,
-                [realify_complex_matrix(c * L.matrix) for c in (1, 1j) for L in s.lie_generators],
+                [realify_complex_matrix(c * X) for c in (1, 1j) for X in s.lie_generators],
                 [(r.name, realify_complex_matrix(r.map.matrix)) for r in s.component_reps],
                 [(loop.name, realify_complex_matrix(loop.generator)) for loop in s.loops],
                 lambda g: OrthogonalMap(space, realify_complex_matrix(s.embed_group(g).matrix)))
@@ -386,7 +378,7 @@ def build_O_C(params) -> DualPairSpec:
     if n1 < 2 or n2 < 2:
         raise ClassificationError("O(n,C) pairs require n1, n2 >= 2")
     Pkl = tensor_kl_permutation(n1, n2)
-    members = [(f"O({n},C)", so_n_complex_basis(n), [("r", reflection(n))],
+    members = [(f"O({n},C)", so_pq_basis((1,) * n), [("r", reflection(n))],
                 [(f"SO({n})[{tag}]", _rotation(n))]) for n, tag in zip((n1, n2), _TAGS)]
     return _pair("O_C", params, complex_space(n1 * n2), Pkl, Pkl.T, _kron_sides(n1, n2), members)
 

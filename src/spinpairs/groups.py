@@ -45,25 +45,15 @@ class OrthogonalMap:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix))
 
-    def gram(self) -> np.ndarray:
-        return np.diag(np.array(self.space.norms, dtype=float))
-
-    def is_isometry(self, tol: float = ISOMETRY_TOL) -> bool:
-        B = self.gram()
-        return bool(np.allclose(self.matrix.T @ B @ self.matrix, B, atol=tol))
-
-
-@dataclass(frozen=True)
-class LieElement:
-    space: QuadraticSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix))
-
-    def is_b_antisymmetric(self) -> bool:
+    def is_isometry(self) -> bool:
         B = np.diag(np.array(self.space.norms, dtype=float))
-        return bool(np.allclose(self.matrix.T @ B + B @ self.matrix, 0, atol=ISOMETRY_TOL))
+        return bool(np.allclose(self.matrix.T @ B @ self.matrix, B, atol=ISOMETRY_TOL))
+
+
+def is_b_antisymmetric(space: QuadraticSpace, X: np.ndarray) -> bool:
+    """X^T B + B X = 0 for the gram B of ``space``: X lies in o(E, b)."""
+    B = np.diag(np.array(space.norms, dtype=float))
+    return bool(np.allclose(X.T @ B + B @ X, 0, atol=ISOMETRY_TOL))
 
 
 @dataclass(frozen=True)
@@ -110,22 +100,22 @@ class LoopGenerator:
 
 @dataclass
 class SideSpec:
-    """One member of a dual pair: embedded generators and component data."""
+    """One member of a dual pair: embedded Lie generator matrices and component data."""
 
     name: str
     space: QuadraticSpace
-    lie_generators: List[LieElement]
+    lie_generators: List[np.ndarray]
     component_reps: List[ComponentRep]
     loops: List[LoopGenerator]
     embed_group: Callable[..., OrthogonalMap]
 
-    def random_element(self, rng: np.random.Generator, scale: float = 0.5) -> OrthogonalMap:
+    def random_element(self, rng: np.random.Generator) -> OrthogonalMap:
         """Product of a random Lie exponential and a random subset of component reps."""
         n = self.space.dim
         M = np.eye(n, dtype=complex)
         if self.lie_generators:
-            X = sum(rng.normal() * g.matrix for g in self.lie_generators)
-            M = M @ sla.expm(scale / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
+            X = sum(rng.normal() * g for g in self.lie_generators)
+            M = M @ sla.expm(0.5 / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
         for rep in self.component_reps:
             if rng.integers(2):
                 M = M @ rep.map.matrix
@@ -140,7 +130,7 @@ class SideSpec:
             return f"{loop.name}@2pi/3", loop.at(2.0 * np.pi / 3.0)
         if not self.lie_generators:
             return "id", OrthogonalMap(self.space, np.eye(self.space.dim))
-        X = self.lie_generators[0].matrix
+        X = self.lie_generators[0]
         g = sla.expm(0.3 / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
         if self.space.field_kind == "real":
             g = g.real
@@ -313,8 +303,8 @@ def complexify(spec: DualPairSpec) -> ComplexifiedPair:
 
     return ComplexifiedPair(
         spec, complex_space(spec.space.dim),
-        [conj(g.matrix) for g in spec.G.lie_generators],
-        [conj(g.matrix) for g in spec.Gp.lie_generators],
+        [conj(X) for X in spec.G.lie_generators],
+        [conj(X) for X in spec.Gp.lie_generators],
         [(r.name, conj(r.map.matrix)) for r in spec.G.component_reps],
         [(r.name, conj(r.map.matrix)) for r in spec.Gp.component_reps],
     )

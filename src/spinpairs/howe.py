@@ -1,16 +1,18 @@
 """Duality for the spinorial representation, made executable.
 
-The pipeline per dual pair: complexify the ambient space, compute the
-graded invariants of the exterior algebra under one member by brute-force
-nullspaces, transport them into End(S) through the Chevalley map and the
-spinor isomorphism, and compare with the directly computed commutant of the
-algebra generated by the lifted member.  A Howe correspondence is certified
-by the double-commutant criterion
+``howe_check`` complexifies the ambient space, generates <G~> and <G~'> on
+the spinors from dPi of the Lie generators and Pi of the lifted component
+reps, and certifies a Howe correspondence by the double-commutant criterion
 
     Comm <G~> = <G~'>   (both directions)
 
 together with commutativity of the joint commutant, whose dimension counts
 the isotypic blocks of the multiplicity-free decomposition.
+
+The invariant route is checked apart from ``howe_check`` (criterion 7 and
+the benchmark's invariants workload): the graded exterior invariants of one
+member, found by brute-force nullspaces and carried into End(S) by
+``transfer_invariants`` through the Chevalley map, span its commutant.
 
 The three degree-2 generator theorems for exterior invariants of GL, O and
 Sp are verified separately on standalone tensor models at small rank, with
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +31,7 @@ import scipy.linalg as sla
 
 from .clifford import (ExteriorElement, QuadraticSpace, _mask_indices, chevalley_T,
                        complex_space, exterior_blade_images, reorder_sign)
-from .families import gl_real_basis, reflection, so_n_complex_basis, sp_2n_basis
+from .families import gl_real_basis, reflection, so_pq_basis, sp_2n_basis
 from .groups import ComplexifiedPair, DimensionCapError, DualPairSpec, complexify
 from .pin import lift
 from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, pi_rep
@@ -363,7 +365,7 @@ class OModel:
         return complex_space(self.dim)
 
     def lie(self) -> List[np.ndarray]:
-        return [np.kron(X, np.eye(self.m)) for X in so_n_complex_basis(self.n)]
+        return [np.kron(X, np.eye(self.m)) for X in so_pq_basis((1,) * self.n)]
 
     def comps(self) -> List[np.ndarray]:
         return [np.kron(reflection(self.n), np.eye(self.m)).astype(complex)]
@@ -499,28 +501,21 @@ def is_commutative(ops: Sequence[np.ndarray]) -> bool:
 
 @dataclass
 class HoweReport:
+    """The double-commutant record under the report's keys: ``dim_commutant`` is
+    dim Comm<G~> and ``dim_algebra`` dim <G~'>; the ``_other`` fields swap G and G'."""
+
     pair: str
     dim_s: int
-    dim_commutant_G: int
-    dim_commutant_Gp: int
-    dim_algebra_G: int
-    dim_algebra_Gp: int
-    subspace_equality: bool
-    joint_commutant_commutative: bool
+    dim_commutant: int
+    dim_commutant_other: int
+    dim_algebra: int
+    dim_algebra_other: int
+    equal: bool
+    mult_free: bool
     isotypic_count: int
 
     def to_json(self) -> dict:
-        return {
-            "pair": self.pair,
-            "dim_s": self.dim_s,
-            "dim_commutant": self.dim_commutant_G,
-            "dim_commutant_other": self.dim_commutant_Gp,
-            "dim_algebra": self.dim_algebra_Gp,
-            "dim_algebra_other": self.dim_algebra_G,
-            "equal": self.subspace_equality,
-            "mult_free": self.joint_commutant_commutative,
-            "isotypic_count": self.isotypic_count,
-        }
+        return asdict(self)
 
 
 def side_operators(spec: DualPairSpec, sp: SpinorSpace, cpx: ComplexifiedPair,
@@ -557,11 +552,11 @@ def howe_check(spec: DualPairSpec) -> HoweReport:
     return HoweReport(
         pair=f"{spec.G.name} x {spec.Gp.name}",
         dim_s=dim,
-        dim_commutant_G=len(comm_G),
-        dim_commutant_Gp=len(comm_Gp),
-        dim_algebra_G=len(alg_G),
-        dim_algebra_Gp=len(alg_Gp),
-        subspace_equality=equal,
-        joint_commutant_commutative=is_commutative(joint),
+        dim_commutant=len(comm_G),
+        dim_commutant_other=len(comm_Gp),
+        dim_algebra=len(alg_Gp),
+        dim_algebra_other=len(alg_G),
+        equal=equal,
+        mult_free=is_commutative(joint),
         isotypic_count=len(joint),
     )

@@ -91,8 +91,9 @@ def _scalar_sign(x: CliffordElement, tol: float) -> Optional[int]:
 def pin_element(value: CliffordElement) -> PinElement:
     """Certify a Clifford element as a Pin member.
 
-    Checks parity homogeneity, the two-valued spinor norm, and that twisted
-    conjugation maps every basis vector back into the vector space.
+    Checks parity homogeneity, the two-valued spinor norm, and, through
+    ``project``, that twisted conjugation maps every basis vector back into
+    the vector space.
     """
     parity = value.parity()
     if parity is None:
@@ -101,12 +102,7 @@ def pin_element(value: CliffordElement) -> PinElement:
     if nu is None:
         raise NotPinError("x tau(x) is not a +-1 scalar")
     x = PinElement(value, parity, nu)
-    xinv = x.inverse_value()
-    ax = value.alpha()
-    for k in range(value.space.dim):
-        img = ax * basis_vector(value.space, k) * xinv
-        if any(grade(m) != 1 for m in img.terms):
-            raise NotPinError("twisted conjugation does not preserve the vector space")
+    project(x)
     return x
 
 
@@ -236,8 +232,7 @@ def all_commute(records: Sequence[dict]) -> bool:
 # path lifting and extension classification
 # ---------------------------------------------------------------------------
 
-def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
-                   max_steps: int = MAX_PATH_STEPS) -> int:
+def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS) -> int:
     """One lift, then a power: +1 if a closed loop's lift closes up, -1 if it flips.
 
     +1 means the double cover restricted to this loop is disconnected
@@ -246,11 +241,11 @@ def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
     so with x the preimage of the first step ``at(2 pi / n)`` nearer to +1,
     the lift at step k is x^k and the path ends at x^n, which must be a
     central +-1.  n starts at ``steps`` (at least 2, since one step cannot
-    see a flip, and at most ``max_steps``) and doubles while both preimages
+    see a flip, and at most ``MAX_PATH_STEPS``) and doubles while both preimages
     of the first step sit nearly equidistant from +1.
     """
-    if not 2 <= steps <= max_steps:
-        raise ValueError(f"loop {loop.name}: path lifting needs 2 <= steps <= {max_steps}, "
+    if not 2 <= steps <= MAX_PATH_STEPS:
+        raise ValueError(f"loop {loop.name}: path lifting needs 2 <= steps <= {MAX_PATH_STEPS}, "
                          f"got {steps}")
     one = scalar_element(loop.space, 1.0)
     n = steps
@@ -259,7 +254,7 @@ def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS,
         dplus, dminus = x.distance(one), (-x).distance(one)
         if min(dplus, dminus) <= 0.5 * max(dplus, dminus):
             break
-        if 2 * n > max_steps:
+        if 2 * n > MAX_PATH_STEPS:
             raise LiftError(f"loop {loop.name}: path lifting ambiguous even at {n} steps")
         n *= 2
     if dminus < dplus:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import (CliffordElement, QuadraticSpace, _mask_indices, complexify_element,
                        from_vector, grade, reorder_sign)
-from .groups import LieElement
+from .groups import is_b_antisymmetric
 from .pin import PinElement
 
 MAX_HALF_DIM = 8
@@ -104,7 +104,7 @@ def lie_to_clifford(X: np.ndarray, space: QuadraticSpace) -> CliffordElement:
     form.  Linear in X and a Lie-algebra map for commutators.
     """
     M = np.asarray(X, dtype=complex)
-    if not LieElement(space, M).is_b_antisymmetric():
+    if not is_b_antisymmetric(space, M):
         raise ValueError("matrix is not antisymmetric for the quadratic form")
     n = space.dim
     acc = CliffordElement(space, {})

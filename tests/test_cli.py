@@ -150,6 +150,16 @@ def test_cli_howe_check():
     assert "equal=True" in res.output
 
 
+@pytest.mark.parametrize("cmd,reason", [
+    (["howe-check", "--family", "U", "--params", "(1,0),(7,0)"], "dim E = 14 exceeds duality cap"),
+    (["classify-cover", "--family", "O_real", "--params", "(1,0),(2,0)"], "out of scope")])
+def test_cli_skipped_stage_exits_with_its_reason(cmd, reason):
+    # a single-pair command whose stage was skipped certified nothing
+    res = CliRunner().invoke(main, cmd)
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert reason in res.output
+
+
 def test_cli_invariants():
     runner = CliRunner()
     res = runner.invoke(main, ["invariants", "--family", "Sp_R", "--params", "1,1",

@@ -15,8 +15,8 @@ from spinpairs.cli import load_expected_table
 from spinpairs.clifford import real_space
 from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, ambient_signature, build_pair,
                                 normalize_params, sp_pq_quat_basis, u_pq_basis)
-from spinpairs.groups import (ClassificationError, ComponentRep, LieElement, OrthogonalMap,
-                              complexify, fixed_real_basis, orthogonalize_real_gram,
+from spinpairs.groups import (ClassificationError, ComponentRep, OrthogonalMap, complexify,
+                              fixed_real_basis, is_b_antisymmetric, orthogonalize_real_gram,
                               quaternion_J, quaternion_matrix_product, realify_complex_matrix,
                               realify_quaternionic, tensor_kl_permutation)
 from spinpairs.howe import span_rank
@@ -219,8 +219,8 @@ def test_embeddings_are_isometries_and_commute(family, params):
         assert g.is_isometry()
         assert h.is_isometry()
         assert np.allclose(g.matrix @ h.matrix, h.matrix @ g.matrix, atol=1e-8)
-    for L in spec.G.lie_generators + spec.Gp.lie_generators:
-        assert L.is_b_antisymmetric()
+    for X in spec.G.lie_generators + spec.Gp.lie_generators:
+        assert is_b_antisymmetric(spec.space, X)
     for rep in spec.G.component_reps + spec.Gp.component_reps:
         assert rep.map.is_isometry()
 
@@ -241,7 +241,7 @@ def test_component_reps_exact_isometries_where_integer():
 def test_u1_single_rotation_generator():
     spec = build_pair("U", ((1, 0), (1, 0)))
     assert len(spec.G.lie_generators) == 1
-    X = spec.G.lie_generators[0].matrix
+    X = spec.G.lie_generators[0]
     assert np.allclose(X, np.array([[0.0, -1.0], [1.0, 0.0]])) \
         or np.allclose(X, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -293,7 +293,7 @@ def test_complex_families_are_complexified_real_forms(family, real_form, params)
     cpx = complexify(build_pair(real_form, params))
     for side in ("G", "Gp"):
         lie, _ = cpx.side(side)
-        ours = [X.matrix for X in spec.side(side).lie_generators]
+        ours = spec.side(side).lie_generators
         assert len(ours) == len(lie)
         assert all(np.array_equal(X, Y) for X, Y in zip(ours, lie)), side
 
@@ -311,9 +311,9 @@ def test_realified_families_are_realified_complex_pairs(family, complex_family, 
     assert spec.space.norms == (1,) * N + (-1,) * N
     for side in ("G", "Gp"):
         real, cpx = spec.side(side), cspec.side(side)
-        want = [realify_complex_matrix(c * L.matrix) for c in (1, 1j) for L in cpx.lie_generators]
+        want = [realify_complex_matrix(c * X) for c in (1, 1j) for X in cpx.lie_generators]
         assert len(real.lie_generators) == len(want)
-        assert all(np.array_equal(L.matrix, W) for L, W in zip(real.lie_generators, want)), side
+        assert all(np.array_equal(X, W) for X, W in zip(real.lie_generators, want)), side
         assert [r.name for r in real.component_reps] == [r.name for r in cpx.component_reps]
         assert all(np.array_equal(r.map.matrix, realify_complex_matrix(s.map.matrix))
                    for r, s in zip(real.component_reps, cpx.component_reps)), side
@@ -327,15 +327,23 @@ def test_realified_families_are_realified_complex_pairs(family, complex_family, 
 def test_realified_sides_pass_the_construction_checks(fault):
     spec = build_pair("O_C", (2, 2))
     E, G = spec.space, spec.G
-    X = G.lie_generators[0].matrix
+    X = G.lie_generators[0]
     if fault == "symmetric generator":
-        G.lie_generators = [LieElement(E, X @ X)]
+        G.lie_generators = [X @ X]
     elif fault == "scaled rep":
         G.component_reps = [ComponentRep("r", OrthogonalMap(E, 2.0 * np.eye(E.dim)))]
     else:
         G.loops = [SimpleNamespace(name="half", generator=G.loops[0].generator / 2)]
     with pytest.raises((RuntimeError, ValueError)):
         families.realified("O_C_real", lambda params: spec)((2, 2))
+
+
+def test_lie_generators_are_matrices_with_one_antisymmetry_check():
+    # no Lie element wrapper: groups.is_b_antisymmetric is the one test of X^T B + B X = 0
+    for path in Path(families.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "LieElement" not in text and ".is_b_antisymmetric(" not in text, path.name
+        assert text.count(".T @ B + B @") == (1 if path.name == "groups.py" else 0), path.name
 
 
 def test_realification_has_one_rule():
@@ -353,7 +361,7 @@ def test_permutation_frames_embed_integer_generators():
             continue
         spec = build_pair(family, (a, b))
         for X in spec.G.lie_generators + spec.Gp.lie_generators:
-            assert np.isin(X.matrix, (-1.0, 0.0, 1.0)).all(), (family, a, b)
+            assert np.isin(X, (-1.0, 0.0, 1.0)).all(), (family, a, b)
             checked += 1
     assert checked > 100
 
@@ -456,7 +464,7 @@ def test_loop_is_one_parameter_subgroup_tangent_to_lie_span(family, which, index
     # field (a complex ambient carries a complex basis of the member's algebra)
     h = 1e-4
     tangent = np.asarray((loop.at(h).matrix - loop.at(-h).matrix) / (2 * h), dtype=complex)
-    gens = [np.asarray(L.matrix, dtype=complex).ravel() for L in side.lie_generators]
+    gens = [np.asarray(X, dtype=complex).ravel() for X in side.lie_generators]
     if spec.space.field_kind == "complex":
         gens += [1j * g for g in gens]
     A = np.array(gens).T

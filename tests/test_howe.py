@@ -482,11 +482,11 @@ HOWE_PAIRS = [
 @pytest.mark.parametrize("family,params", HOWE_PAIRS)
 def test_howe_correspondence(family, params):
     rep = howe_check(build_pair(family, params))
-    assert rep.subspace_equality
-    assert rep.joint_commutant_commutative
+    assert rep.equal
+    assert rep.mult_free
     assert rep.isotypic_count >= 1
-    assert rep.dim_commutant_G == rep.dim_algebra_Gp
-    assert rep.dim_commutant_Gp == rep.dim_algebra_G
+    assert rep.dim_commutant == rep.dim_algebra
+    assert rep.dim_commutant_other == rep.dim_algebra_other
 
 
 def test_howe_algebra_saturated_by_group_elements():

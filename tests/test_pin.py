@@ -88,6 +88,17 @@ def test_unit_norm_but_non_group_element_rejected():
         pin_element(x)
 
 
+def test_unit_tau_norm_but_twisted_conjugation_leaves_the_vectors_rejected():
+    # x = (1 + e0..e5)/sqrt(2) is even with x tau(x) = 1, but the pseudoscalar
+    # anticommutes with vectors, so alpha(x) e_k x^-1 = -e_k e0..e5 has grade 5
+    E = real_space(6)
+    x = (scalar_element(E, 1.0) + blade(E, range(6))).scale(1 / np.sqrt(2))
+    assert x.parity() == 0
+    assert (x * x.tau()).isclose(scalar_element(E, 1.0), 1e-12)
+    with pytest.raises(NotPinError):
+        pin_element(x)
+
+
 def test_projection_is_homomorphism():
     E = QuadraticSpace("real", (1, 1, -1))
     rng = np.random.default_rng(5)
@@ -166,7 +177,7 @@ def test_lift_null_rotation_exercises_isotropic_fallback():
     X = np.outer(w, B @ e1) - np.outer(e1, B @ w)
     g = np.eye(4) + X + X @ X / 2.0
     gm = OrthogonalMap(E, g)
-    assert gm.is_isometry(1e-12)
+    assert np.allclose(g.T @ B @ g, B, atol=1e-12)
     assert abs((g[:, 0] - e1) @ B @ (g[:, 0] - e1)) < 1e-12   # truly isotropic pivot
     x = lift(gm)
     assert np.allclose(project(x).matrix, g, atol=1e-9)
@@ -275,7 +286,7 @@ def test_commutator_sign_constant_on_components():
     rng = np.random.default_rng(3)
     import scipy.linalg as sla
     for _ in range(5):
-        X = sum(rng.normal() * L.matrix for L in spec.Gp.lie_generators)
+        X = sum(rng.normal() * L for L in spec.Gp.lie_generators)
         wiggle = OrthogonalMap(spec.space, rep_h.matrix @ sla.expm(0.5 * X).real)
         assert commutator_sign(lift(rep_g), lift(wiggle)) == base
 
@@ -330,13 +341,14 @@ def test_path_lift_auto_refines_high_winding():
     assert loop_lift_sign(LoopGenerator("fast_odd", E, 127 * ROT), steps=256) == -1
 
 
-def test_path_lift_fails_when_refinement_capped():
+def test_path_lift_fails_when_refinement_capped(monkeypatch):
     fast = LoopGenerator("fast", real_space(2), 128 * ROT)
+    monkeypatch.setattr(pin, "MAX_PATH_STEPS", 256)
     # every count steps * 2^k up to the cap leaves a lift step ambiguous; the
     # message names the finest count tried: 3, 6, ..., 192 stops short of 256
     for steps, finest in ((256, 256), (3, 192)):
         with pytest.raises(LiftError, match=f"ambiguous even at {finest} steps"):
-            loop_lift_sign(fast, steps=steps, max_steps=256)
+            loop_lift_sign(fast, steps=steps)
 
 
 def test_path_lift_lifts_once(monkeypatch):
