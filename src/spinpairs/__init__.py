@@ -12,7 +12,7 @@ from .clifford import (CliffordElement, ExteriorElement, QuadraticSpace, blade,
                        scalar_element)
 from .groups import (ClassificationError, ComplexifiedPair, DualPairSpec, OrthogonalMap,
                      complexify, realify_quaternionic)
-from .families import FAMILY_BUILDERS, MINIMAL_PARAMS, build_pair
+from .families import FAMILIES, build_pair
 from .pin import (ExtensionClass, PinElement, classify_extension, commutator_pairing, lift,
                   loop_lift_sign, pin_element, project)
 from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, lie_to_clifford, pi_rep

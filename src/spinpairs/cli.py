@@ -21,8 +21,8 @@ import click
 
 from . import __version__
 from .families import build_pair, normalize_params
-from .groups import ClassificationError, DimensionCapError
-from .howe import UnsupportedFamilyError, howe_check, invariants
+from .groups import ClassificationError, DimensionCapError, UnsupportedFamilyError
+from .howe import howe_check, invariants
 from .pin import (DEFAULT_PATH_STEPS, MAX_PATH_STEPS, all_commute, classify_extension,
                   commutator_pairing)
 
@@ -70,30 +70,23 @@ def run_pair(family: str, params, config: RunConfig) -> dict:
         except Exception as exc:  # noqa: BLE001 - structured per-pair reporting
             record["error"] = {"stage": "commute", "kind": type(exc).__name__, "message": str(exc)}
             return record
-    if "cover" in config.stages:
-        if family == "O_real":
-            # only the non-commutation phenomenon is reproduced for real
-            # orthogonal pairs; their cover classification is out of scope
-            record["extension"] = None
-            record["extension_skipped"] = "real orthogonal cover classification out of scope"
-        else:
-            try:
-                record["extension"] = {
-                    "G": classify_extension(spec, "G", steps=config.steps).to_json(),
-                    "Gp": classify_extension(spec, "Gp", steps=config.steps).to_json(),
-                }
-            except Exception as exc:  # noqa: BLE001
-                record["error"] = {"stage": "cover", "kind": type(exc).__name__,
-                                   "message": str(exc)}
-                return record
-    if "howe" in config.stages:
+    # the stages a family's scope or the duality cap may skip, with their record keys
+    skippable = {
+        "cover": ("extension", lambda: {
+            side: classify_extension(spec, side, steps=config.steps).to_json()
+            for side in ("G", "Gp")}),
+        "howe": ("howe", lambda: howe_check(spec).to_json()),
+    }
+    for stage, (key, compute) in skippable.items():
+        if stage not in config.stages:
+            continue
         try:
-            record["howe"] = howe_check(spec).to_json()
+            record[key] = compute()
         except (UnsupportedFamilyError, DimensionCapError) as exc:
-            record["howe"] = None
-            record["howe_skipped"] = str(exc)
+            record[key] = None
+            record[f"{key}_skipped"] = str(exc)
         except Exception as exc:  # noqa: BLE001
-            record["error"] = {"stage": "howe", "kind": type(exc).__name__, "message": str(exc)}
+            record["error"] = {"stage": stage, "kind": type(exc).__name__, "message": str(exc)}
             return record
     return record
 

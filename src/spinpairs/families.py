@@ -4,7 +4,7 @@ Every family is a pair of members (G, G') acting on a tensor model of the
 ambient space E: V1 ox V2, its realification, the real form of a tensor
 product of quaternionic spaces, or V1 ox V2 doubled with its dual.  A builder
 names a frame of E, two side models and two native members, and hands them to
-the one constructor ``_pair``:
+``_pair``, which returns (space, G, G'):
 
 - the frame is ``_frame`` of the tensor form's gram matrix (its orthogonal
   frame from ``orthogonalize_real_gram``, +1 vectors first), ``_split_frame``
@@ -18,9 +18,11 @@ the one constructor ``_pair``:
 The three ``_R`` families are ``realified`` complex pairs: ``O_C_real``,
 ``Sp_C_real`` and ``GL_C`` from ``O_C``, ``Sp_C`` and ``GL_C_complex``.
 
-One table, ``SIGNATURE``, holds the ambient signatures of the classification.
-``ambient_signature`` reads it from the parameters before anything is built,
-and ``build_pair`` checks every built space against it:
+One table, ``FAMILIES``, holds every fact about a family in one row: its
+builder, its ambient signature, its smallest honest parameters, its smallest
+member size and the stages out of its scope.  ``build_pair`` checks the
+parameters against the row before anything is built, checks the built space
+against the row's signature, and constructs every :class:`DualPairSpec`:
 
     (O(n,C), O(m,C))            O(nm, C)                 n, m >= 2
     (Sp(2n,C), Sp(2m,C))        O(4nm, C)
@@ -39,8 +41,8 @@ and ``build_pair`` checks every built space against it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -214,17 +216,16 @@ def _side(embedding: Embedding, name: str, lie, comps, loops) -> SideSpec:
                          embedding.group)
 
 
-def _pair(family: str, params, space: QuadraticSpace, left: np.ndarray, right: np.ndarray,
-          models: Sequence[Callable], members: Sequence[tuple], dual: bool = False) -> DualPairSpec:
-    """The pair of two native members, each embedded through its side model.
+def _pair(space: QuadraticSpace, left: np.ndarray, right: np.ndarray,
+          models: Sequence[Callable], members: Sequence[tuple], dual: bool = False):
+    """(space, G, G') of two native members, each embedded through its side model.
 
     A member is (name, Lie basis, (name, g) component reps, (name, X) loop
     generators); ``models``, ``left``, ``right`` and ``dual`` are those of
     its :class:`Embedding`.
     """
-    G, Gp = (_side(Embedding(space, model, left, right, dual), *member)
-             for model, member in zip(models, members))
-    return DualPairSpec(family, params, space, G, Gp)
+    return (space, *(_side(Embedding(space, model, left, right, dual), *member)
+                     for model, member in zip(models, members)))
 
 
 def _in_field(field: str, norms: Sequence[int], left: np.ndarray, right: np.ndarray):
@@ -257,7 +258,7 @@ def _split_frame(d: int, field: str = "real"):
     return _in_field(field, (1,) * d + (-1,) * d, H, H / 2.0)
 
 
-def realified(family: str, build_complex: Callable) -> Callable:
+def realified(build_complex: Callable) -> Callable:
     """Builder of the pair (G, G')_R: a complex pair as real groups on E_R with Re b.
 
     In the basis (w; i w) of E_R, w the complex pair's orthonormal frame, Re b
@@ -266,9 +267,9 @@ def realified(family: str, build_complex: Callable) -> Callable:
     gives X, then all the iX follow in the same order; reps, loop generators
     and ``embed_group`` are realified one for one.
     """
-    def build(params) -> DualPairSpec:
-        spec = build_complex(params)
-        space = real_space(spec.space.dim, spec.space.dim)
+    def build(params):
+        cspace, *sides = build_complex(params)
+        space = real_space(cspace.dim, cspace.dim)
 
         def realify(s: SideSpec) -> SideSpec:
             return _checked_side(
@@ -278,23 +279,9 @@ def realified(family: str, build_complex: Callable) -> Callable:
                 [(loop.name, realify_complex_matrix(loop.generator)) for loop in s.loops],
                 lambda g: OrthogonalMap(space, realify_complex_matrix(s.embed_group(g).matrix)))
 
-        return DualPairSpec(family, params, space, realify(spec.G), realify(spec.Gp))
+        return (space, *map(realify, sides))
 
     return build
-
-
-def _pair_params(params) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    (p1, q1), (p2, q2) = params
-    if min(p1, q1, p2, q2) < 0 or p1 + q1 == 0 or p2 + q2 == 0:
-        raise ClassificationError(f"invalid signature parameters {params}")
-    return (int(p1), int(q1)), (int(p2), int(q2))
-
-
-def _int_params(params) -> Tuple[int, int]:
-    n1, n2 = params
-    if n1 < 1 or n2 < 1:
-        raise ClassificationError(f"sizes must be positive, got {params}")
-    return int(n1), int(n2)
 
 
 def _kron_sides(d1: int, d2: int):
@@ -329,19 +316,17 @@ _TAGS = ("G", "G'")
 # the families
 # ---------------------------------------------------------------------------
 
-def build_O_real(params) -> DualPairSpec:
-    sides = _pair_params(params)
-    (p1, q1), (p2, q2) = sides
+def build_O_real(params):
+    (p1, q1), (p2, q2) = params
     gram = np.diag(np.outer(_signs(p1, q1), _signs(p2, q2)).ravel())
     members = [(f"O({p},{q})", so_pq_basis(_signs(p, q)),
                 [(f"r{s}", reflection(p + q, k)) for s, k, _ in _sign_blocks(p, q)], [])
-               for p, q in sides]
-    return _pair("O_real", params, *_frame(gram), _kron_sides(p1 + q1, p2 + q2), members)
+               for p, q in params]
+    return _pair(*_frame(gram), _kron_sides(p1 + q1, p2 + q2), members)
 
 
-def build_U(params) -> DualPairSpec:
-    sides = _pair_params(params)
-    (p1, q1), (p2, q2) = sides
+def build_U(params):
+    (p1, q1), (p2, q2) = params
     # realified norms of Re(h1 ox h2): eps_i * eps_j on both w and i*w slots
     nat = np.outer(_signs(p1, q1), _signs(p2, q2)).ravel()
     models = [lambda g, k=k: realify_complex_matrix(k(g)) for k in _kron_sides(p1 + q1, p2 + q2)]
@@ -349,38 +334,34 @@ def build_U(params) -> DualPairSpec:
     # U(q) at the first -slot
     members = [(f"U({p},{q})", u_pq_basis(p, q), [],
                 [(f"U({size})[{tag}{s}]", _E(p + q, k, k, 1j)) for s, k, size in _sign_blocks(p, q)])
-               for (p, q), tag in zip(sides, _TAGS)]
-    return _pair("U", params, *_frame(np.diag(np.tile(nat, 2))), models, members)
+               for (p, q), tag in zip(params, _TAGS)]
+    return _pair(*_frame(np.diag(np.tile(nat, 2))), models, members)
 
 
 def _omega(n: int) -> np.ndarray:
     return np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
 
 
-def build_Sp_R(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
+def build_Sp_R(params):
+    n1, n2 = params
     members = [(f"Sp({2*n},R)", sp_2n_basis(n), [], [(f"U({n})[{tag}]", _rotation(2 * n, n))])
-               for n, tag in zip((n1, n2), _TAGS)]
-    return _pair("Sp_R", params, *_frame(np.kron(_omega(n1), _omega(n2))),
-                 _kron_sides(2 * n1, 2 * n2), members)
+               for n, tag in zip(params, _TAGS)]
+    return _pair(*_frame(np.kron(_omega(n1), _omega(n2))), _kron_sides(2 * n1, 2 * n2), members)
 
 
-def build_Sp_C(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
+def build_Sp_C(params):
+    n1, n2 = params
     # Sp_R's frame made complex orthonormal: its matrices are complexify(Sp_R)'s
-    return _pair("Sp_C", params, *_frame(np.kron(_omega(n1), _omega(n2)), "complex"),
-                 _kron_sides(2 * n1, 2 * n2), [(f"Sp({2*n},C)", sp_2n_basis(n), [], [])
-                                               for n in (n1, n2)])
+    return _pair(*_frame(np.kron(_omega(n1), _omega(n2)), "complex"), _kron_sides(2 * n1, 2 * n2),
+                 [(f"Sp({2*n},C)", sp_2n_basis(n), [], []) for n in params])
 
 
-def build_O_C(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
-    if n1 < 2 or n2 < 2:
-        raise ClassificationError("O(n,C) pairs require n1, n2 >= 2")
+def build_O_C(params):
+    n1, n2 = params
     Pkl = tensor_kl_permutation(n1, n2)
     members = [(f"O({n},C)", so_pq_basis((1,) * n), [("r", reflection(n))],
-                [(f"SO({n})[{tag}]", _rotation(n))]) for n, tag in zip((n1, n2), _TAGS)]
-    return _pair("O_C", params, complex_space(n1 * n2), Pkl, Pkl.T, _kron_sides(n1, n2), members)
+                [(f"SO({n})[{tag}]", _rotation(n))]) for n, tag in zip(params, _TAGS)]
+    return _pair(complex_space(n1 * n2), Pkl, Pkl.T, _kron_sides(n1, n2), members)
 
 
 def _fixed_models(n1: int, n2: int):
@@ -389,118 +370,106 @@ def _fixed_models(n1: int, n2: int):
     return R, [lambda X, k=k: R.conj().T @ k(X) @ R for k in _kron_sides(2 * n1, 2 * n2)]
 
 
-def _quat_pair(family: str, params, K1: np.ndarray, K2: np.ndarray, members) -> DualPairSpec:
+def _quat_pair(K1: np.ndarray, K2: np.ndarray, members):
     """The pair on Fix(J1 ox J2 . conj), where the tensor form K1 ox K2 is real."""
     R, models = _fixed_models(len(K1) // 2, len(K2) // 2)
     gram = R.T @ np.kron(K1, K2) @ R
     if np.abs(gram.imag).max() > 1e-10:
-        raise RuntimeError(f"{family}: tensor form is not real on the fixed subspace")
-    return _pair(family, params, *_frame(gram.real), models, members)
+        raise RuntimeError("tensor form is not real on the fixed subspace")
+    return _pair(*_frame(gram.real), models, members)
 
 
-def build_Sp_H(params) -> DualPairSpec:
-    sides = _pair_params(params)
-
+def build_Sp_H(params):
     def KD(p, q):
         D = np.diag(_signs(p, q)).astype(complex)
         z = np.zeros_like(D)
         return np.block([[z, D], [-D, z]])
 
-    return _quat_pair("Sp_H", params, *(KD(p, q) for p, q in sides),
-                      [(f"Sp({p},{q},H)", sp_pq_quat_basis(p, q), [], []) for p, q in sides])
+    return _quat_pair(*(KD(p, q) for p, q in params),
+                      [(f"Sp({p},{q},H)", sp_pq_quat_basis(p, q), [], []) for p, q in params])
 
 
-def build_O_star(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
-    if n1 < 2 or n2 < 2:
-        raise ClassificationError("O*(n,H) pairs require n1, n2 >= 2")
-
+def build_O_star(params):
     def KS(n):
         S = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
         return 1j * S.astype(complex)
 
     # J aligned with S = antidiag so that U(n) sits as diag(u, conj(u))
-    return _quat_pair("O_star", params, KS(n1), KS(n2),
+    return _quat_pair(*map(KS, params),
                       [(f"O*({2*n})", ostar_basis(n), [],
                         [(f"U({n})[{tag}]", _E(2 * n, 0, 0, 1j) - _E(2 * n, n, n, 1j))])
-                       for n, tag in zip((n1, n2), _TAGS)])
+                       for n, tag in zip(params, _TAGS)])
 
 
 # type-II general linear pairs: E = E1 + E1^* with split form
 
-def build_GL_R(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
+def build_GL_R(params):
+    n1, n2 = params
     members = [(f"GL({n},R)", gl_real_basis(n), [("s", reflection(n))],
                 [(f"SO({n})[{tag}]", _rotation(n))] if n >= 2 else [])
-               for n, tag in zip((n1, n2), _TAGS)]
-    return _pair("GL_R", params, *_split_frame(n1 * n2), _kron_sides(n1, n2), members, dual=True)
+               for n, tag in zip(params, _TAGS)]
+    return _pair(*_split_frame(n1 * n2), _kron_sides(n1, n2), members, dual=True)
 
 
-def build_GL_H(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
+def build_GL_H(params):
+    n1, n2 = params
     _, models = _fixed_models(n1, n2)
-    return _pair("GL_H", params, *_split_frame(4 * n1 * n2), models,
-                 [(f"GL({n},H)", gl_quat_basis(n), [], []) for n in (n1, n2)], dual=True)
+    return _pair(*_split_frame(4 * n1 * n2), models,
+                 [(f"GL({n},H)", gl_quat_basis(n), [], []) for n in params], dual=True)
 
 
-def build_GL_C_complex(params) -> DualPairSpec:
-    n1, n2 = _int_params(params)
+def build_GL_C_complex(params):
+    n1, n2 = params
     # GL_R's split frame made complex orthonormal: its matrices are complexify(GL_R)'s
     members = [(f"GL({n},C)", gl_real_basis(n), [], [(f"U({n})[{tag}]", _E(n, 0, 0, 1j))])
-               for n, tag in zip((n1, n2), _TAGS)]
-    return _pair("GL_C_complex", params, *_split_frame(n1 * n2, "complex"), _kron_sides(n1, n2),
-                 members, dual=True)
+               for n, tag in zip(params, _TAGS)]
+    return _pair(*_split_frame(n1 * n2, "complex"), _kron_sides(n1, n2), members, dual=True)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the table
 # ---------------------------------------------------------------------------
 
-FAMILY_BUILDERS: Dict[str, Callable] = {
-    "O_real": build_O_real,
-    "U": build_U,
-    "Sp_R": build_Sp_R,
-    "O_C_real": realified("O_C_real", build_O_C),
-    "Sp_C_real": realified("Sp_C_real", build_Sp_C),
-    "Sp_H": build_Sp_H,
-    "O_star": build_O_star,
-    "GL_R": build_GL_R,
-    "GL_C": realified("GL_C", build_GL_C_complex),
-    "GL_H": build_GL_H,
-    "O_C": build_O_C,
-    "Sp_C": build_Sp_C,
-    "GL_C_complex": build_GL_C_complex,
+@dataclass(frozen=True)
+class Family:
+    """Every fact about one classified family.
+
+    ``build`` maps checked parameters to (space, G, G').  E has signature
+    ``factor`` times (p1p2+q1q2, p1q2+q1p2) for ``kind`` "pair", (n1n2, n1n2)
+    for "split" and (n1n2, 0) for "complex", the table of the module
+    docstring.  ``minimal`` is the smallest honest instance, ``min_size`` the
+    smallest member size (p + q, or n), and ``skips`` maps each stage out of
+    the family's scope to its reason, in which ``{family}`` names the family.
+    """
+
+    build: Callable[[tuple], tuple]
+    factor: int
+    kind: str
+    minimal: tuple
+    min_size: int = 1
+    skips: Mapping[str, str] = field(default_factory=dict)
+
+
+_NO_DUALITY = {"howe": "{family}: orthogonal-pair duality is outside the engine's scope"}
+
+FAMILIES: Dict[str, Family] = {
+    "O_real": Family(build_O_real, 1, "pair", ((1, 0), (2, 0)), skips={
+        "cover": "real orthogonal cover classification out of scope", **_NO_DUALITY}),
+    "U": Family(build_U, 2, "pair", ((1, 0), (1, 0))),
+    "Sp_R": Family(build_Sp_R, 2, "split", (1, 1)),
+    "O_C_real": Family(realified(build_O_C), 1, "split", (2, 2), 2, _NO_DUALITY),
+    "Sp_C_real": Family(realified(build_Sp_C), 4, "split", (1, 1)),
+    "Sp_H": Family(build_Sp_H, 4, "pair", ((1, 0), (1, 0))),
+    "O_star": Family(build_O_star, 2, "split", (2, 2), 2),
+    "GL_R": Family(build_GL_R, 1, "split", (1, 1)),
+    "GL_C": Family(realified(build_GL_C_complex), 2, "split", (1, 1)),
+    "GL_H": Family(build_GL_H, 4, "split", (1, 1)),
+    "O_C": Family(build_O_C, 1, "complex", (3, 3), 2, _NO_DUALITY),
+    "Sp_C": Family(build_Sp_C, 4, "complex", (1, 1)),
+    "GL_C_complex": Family(build_GL_C_complex, 2, "complex", (1, 1)),
 }
 
-# the ambient signature of each family, as (factor, kind): factor times
-# (p1p2+q1q2, p1q2+q1p2) for "pair", (n1n2, n1n2) for "split" and (n1n2, 0)
-# for "complex"; the table of the module docstring
-SIGNATURE: Dict[str, Tuple[int, str]] = {
-    "O_real": (1, "pair"), "U": (2, "pair"), "Sp_H": (4, "pair"),
-    "Sp_R": (2, "split"), "O_C_real": (1, "split"), "Sp_C_real": (4, "split"),
-    "O_star": (2, "split"), "GL_R": (1, "split"), "GL_C": (2, "split"), "GL_H": (4, "split"),
-    "O_C": (1, "complex"), "Sp_C": (4, "complex"), "GL_C_complex": (2, "complex"),
-}
-
-PAIR_PARAM_FAMILIES = {family for family, (_, kind) in SIGNATURE.items() if kind == "pair"}
-
-# smallest parameters at which each family is an honest member of the
-# classification (size-1 exclusions respected)
-MINIMAL_PARAMS: Dict[str, tuple] = {
-    "O_real": ((1, 0), (2, 0)),
-    "U": ((1, 0), (1, 0)),
-    "Sp_R": (1, 1),
-    "O_C_real": (2, 2),
-    "Sp_C_real": (1, 1),
-    "Sp_H": ((1, 0), (1, 0)),
-    "O_star": (2, 2),
-    "GL_R": (1, 1),
-    "GL_C": (1, 1),
-    "GL_H": (1, 1),
-    "O_C": (3, 3),
-    "Sp_C": (1, 1),
-    "GL_C_complex": (1, 1),
-}
+PAIR_PARAM_FAMILIES = {family for family, row in FAMILIES.items() if row.kind == "pair"}
 
 
 def _integer(x) -> int:
@@ -526,33 +495,41 @@ def normalize_params(family: str, params) -> tuple:
 
 
 def ambient_signature(family: str, params: tuple) -> Tuple[int, int]:
-    """Signature of E for a family instance, from its normalized parameters."""
-    factor, kind = SIGNATURE[family]
-    if kind == "pair":
-        (p1, q1), (p2, q2) = _pair_params(params)
-        return factor * (p1 * p2 + q1 * q2), factor * (p1 * q2 + q1 * p2)
-    n1, n2 = _int_params(params)
-    return factor * n1 * n2, factor * n1 * n2 if kind == "split" else 0
+    """Signature of E for a family instance, from its normalized parameters.
 
-
-def ambient_dim(family: str, params: tuple) -> int:
-    """dim E of a family instance, from its normalized parameters."""
-    return sum(ambient_signature(family, params))
+    Parameters below the row's smallest member size, or a negative signature
+    entry, are a ClassificationError.
+    """
+    row = FAMILIES[family]
+    if row.kind == "pair":
+        (p1, q1), (p2, q2) = params
+        if min(p1, q1, p2, q2) < 0 or min(p1 + q1, p2 + q2) < row.min_size:
+            raise ClassificationError(f"invalid signature parameters {params}")
+        return row.factor * (p1 * p2 + q1 * q2), row.factor * (p1 * q2 + q1 * p2)
+    n1, n2 = params
+    if min(n1, n2) < row.min_size:
+        raise ClassificationError(f"{family} sizes must be at least {row.min_size}, got {params}")
+    return row.factor * n1 * n2, row.factor * n1 * n2 if row.kind == "split" else 0
 
 
 def build_pair(family: str, params) -> DualPairSpec:
-    """Instantiate one classified family; raises ClassificationError on excluded sizes,
-    and on an ambient dimension above clifford.MAX_DIM before the builder runs.
-    A built space off the family's ambient signature is a RuntimeError."""
-    if family not in FAMILY_BUILDERS:
+    """Instantiate one classified family from its row of ``FAMILIES``.
+
+    Parameters off the row, or an ambient dimension above clifford.MAX_DIM,
+    are a ClassificationError before the builder runs; a built space off the
+    row's signature is a RuntimeError.
+    """
+    if family not in FAMILIES:
         raise ClassificationError(f"unknown family {family!r}")
+    row = FAMILIES[family]
     params = normalize_params(family, params)
-    dim = ambient_dim(family, params)
-    if dim > MAX_DIM:
-        raise ClassificationError(f"{family}{params}: ambient dimension {dim} above {MAX_DIM}")
-    spec = FAMILY_BUILDERS[family](params)
     signature = ambient_signature(family, params)
-    if spec.space.signature != signature:
-        raise RuntimeError(f"{family}{params}: ambient signature {spec.space.signature} "
+    if sum(signature) > MAX_DIM:
+        raise ClassificationError(f"{family}{params}: ambient dimension {sum(signature)} "
+                                  f"above {MAX_DIM}")
+    space, G, Gp = row.build(params)
+    if space.signature != signature:
+        raise RuntimeError(f"{family}{params}: ambient signature {space.signature} "
                            f"!= {signature}")
-    return spec
+    skips = {stage: reason.format(family=family) for stage, reason in row.skips.items()}
+    return DualPairSpec(family, params, space, G, Gp, skips)

@@ -15,7 +15,7 @@ builders of ``Sp_C`` and ``GL_C_complex`` apply it to the real frames of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,6 +31,10 @@ class ClassificationError(ValueError):
 
 class DimensionCapError(ValueError):
     """Instance exceeds a brute-force size cap."""
+
+
+class UnsupportedFamilyError(ValueError):
+    """A stage outside the scope of the engine for this family."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +143,22 @@ class SideSpec:
 
 @dataclass
 class DualPairSpec:
-    """A classified dual-pair family instance with embedded group data."""
+    """A classified dual-pair family instance with embedded group data.
+
+    ``skips`` maps each stage out of scope for the family to its reason.
+    """
 
     family: str
     params: tuple
     space: QuadraticSpace
     G: SideSpec
     Gp: SideSpec
+    skips: Dict[str, str] = field(default_factory=dict)
+
+    def refuse_skipped(self, stage: str) -> None:
+        """Raise UnsupportedFamilyError, with its reason, if ``stage`` is out of scope."""
+        if stage in self.skips:
+            raise UnsupportedFamilyError(self.skips[stage])
 
     def side(self, which: str) -> SideSpec:
         if which == "G":

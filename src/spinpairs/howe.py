@@ -9,6 +9,10 @@ reps, and certifies a Howe correspondence by the double-commutant criterion
 together with commutativity of the joint commutant, whose dimension counts
 the isotypic blocks of the multiplicity-free decomposition.
 
+A family whose row in ``families.FAMILIES`` puts the howe stage out of scope
+(the orthogonal pairs) is refused through its spec; ``howe_check`` and
+``invariant_space`` share one size cap, ``HOWE_DIM_CAP`` on dim E = dim E_C.
+
 The invariant route is checked apart from ``howe_check`` (criterion 7 and
 the benchmark's invariants workload): the graded exterior invariants of one
 member, found by brute-force nullspaces and carried into End(S) by
@@ -39,22 +43,6 @@ from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, pi_rep
 RANK_TOL = 1e-8
 COMMUTATIVITY_TOL = 1e-7
 HOWE_DIM_CAP = 12
-EXTERIOR_DIM_CAP = 12
-# nullspace splits a nonzero pattern only when both sides are at least
-# SPLIT_MIN_SIDE long and at most a SPLIT_MAX_FILL share of entries is nonzero.
-# k equal blocks fill 1/k of a matrix, so a fuller pattern has at most three
-# blocks to gain from, and is mostly one component, while the component
-# search costs about 0.2 us per nonzero; a smaller matrix's SVD is cheap.
-# Over the nullspace inputs of the benchmark's invariants and table passes,
-# side limits of 32 to 128 and fill limits of 1/20 to 1/4 time within 8 %.
-SPLIT_MIN_SIDE = 64
-SPLIT_MAX_FILL = 0.25
-
-ORTHOGONAL_PAIR_FAMILIES = {"O_real", "O_C", "O_C_real"}
-
-
-class UnsupportedFamilyError(ValueError):
-    """Family outside the scope of the spinorial duality engine."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +69,14 @@ def nullspace(A: np.ndarray) -> np.ndarray:
     The connected components of the bipartite graph of A's exact nonzero
     pattern, row i joined to column j iff A[i, j] != 0, permute A to block
     diagonal form, so ker A is the direct sum of the block kernels and each
-    block is solved on its own.  A pattern that is small, dense or connected
-    gets one dense SVD.
+    block is solved on its own.  A connected pattern gets one dense SVD.
     """
     A = np.asarray(A, dtype=complex)
-    rows, cols = A.shape
-    if min(rows, cols) >= SPLIT_MIN_SIDE:
-        r, c = np.nonzero(A)
-        if r.size <= SPLIT_MAX_FILL * rows * cols:
-            blocks = _pattern_blocks(r, c, cols)
-            if len(blocks) > 1:
-                return _blockwise_nullspace(A, blocks)
-    return _dense_nullspace(A)
-
-
-def _dense_nullspace(A: np.ndarray) -> np.ndarray:
+    blocks = _pattern_blocks(*np.nonzero(A), A.shape[1])
+    if len(blocks) > 1:
+        return _blockwise_nullspace(A, blocks)
     # only a wide A needs the full Vh
-    rows, cols = A.shape
-    _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     return vh[_rank(s):].conj()
 
 
@@ -286,8 +264,8 @@ def invariant_space(space_c: QuadraticSpace, lie: Sequence[np.ndarray],
                     comps: Sequence[np.ndarray]) -> InvariantSpace:
     """Joint nullspace of Lie derivations and fixed space of component actions."""
     N = space_c.dim
-    if N > EXTERIOR_DIM_CAP:
-        raise DimensionCapError(f"exterior dimension {N} exceeds cap {EXTERIOR_DIM_CAP}")
+    if N > HOWE_DIM_CAP:
+        raise DimensionCapError(f"exterior dimension {N} exceeds cap {HOWE_DIM_CAP}")
     bases: Dict[int, np.ndarray] = {}
     for d in range(N + 1):
         nd = len(blades_of_degree(N, d))
@@ -531,11 +509,10 @@ def howe_check(spec: DualPairSpec) -> HoweReport:
     """Double-commutant certificate for the spinorial representation.
 
     Verifies Comm<G~> = <G~'> in both directions and that the joint commutant
-    is commutative, reporting its dimension as the isotypic count.
+    is commutative, reporting its dimension as the isotypic count.  A family
+    whose howe stage is out of scope raises UnsupportedFamilyError.
     """
-    if spec.family in ORTHOGONAL_PAIR_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"{spec.family}: orthogonal-pair duality is outside the engine's scope")
+    spec.refuse_skipped("howe")
     if spec.space.dim > HOWE_DIM_CAP:
         raise DimensionCapError(f"dim E = {spec.space.dim} exceeds duality cap {HOWE_DIM_CAP}")
     cpx = complexify(spec)

@@ -323,8 +323,10 @@ def classify_extension(spec: DualPairSpec, side: str,
     Each loop is lifted once, at its first step, and the lift raised to the
     power of the step count (``loop_lift_sign``).  Each sign is checked
     against the loop's weight parity; a disagreement raises LiftError rather
-    than yield a label.
+    than yield a label.  A family whose cover stage is out of scope raises
+    UnsupportedFamilyError.
     """
+    spec.refuse_skipped("cover")
     s = spec.side(side)
     if not s.loops:
         # simply connected maximal compact: nothing to test, cover is split

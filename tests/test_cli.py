@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from spinpairs import cli
-from spinpairs.families import FAMILY_BUILDERS, PAIR_PARAM_FAMILIES
+from spinpairs.families import FAMILIES, PAIR_PARAM_FAMILIES
 from spinpairs.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, RunConfig,
                            compare_with_expected, load_expected_table, main, run)
 
@@ -68,7 +68,7 @@ def test_wrongly_shaped_params_are_build_errors(family, params):
 
 def test_oversized_pairs_are_build_errors():
     # 8 x 8 gives every family dim E >= 64, above the 62 generators a blade mask carries
-    pairs = [(f, ((8, 0), (8, 0)) if f in PAIR_PARAM_FAMILIES else (8, 8)) for f in FAMILY_BUILDERS]
+    pairs = [(f, ((8, 0), (8, 0)) if f in PAIR_PARAM_FAMILIES else (8, 8)) for f in FAMILIES]
     report = run(RunConfig(pairs, stages=()))
     assert len(report["pairs"]) == len(pairs)
     for rec in report["pairs"]:

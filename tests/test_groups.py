@@ -13,7 +13,7 @@ import pytest
 from spinpairs import families, howe
 from spinpairs.cli import load_expected_table
 from spinpairs.clifford import real_space
-from spinpairs.families import (MINIMAL_PARAMS, ambient_dim, ambient_signature, build_pair,
+from spinpairs.families import (FAMILIES, ambient_signature, build_pair,
                                 normalize_params, sp_pq_quat_basis, u_pq_basis)
 from spinpairs.groups import (ClassificationError, ComponentRep, OrthogonalMap, complexify,
                               fixed_real_basis, is_b_antisymmetric, orthogonalize_real_gram,
@@ -159,14 +159,14 @@ def test_ambient_signature_matches_classification(family, params, signature):
     assert ambient_signature(family, normalize_params(family, params)) == signature
 
 
-@pytest.mark.parametrize("family", sorted(MINIMAL_PARAMS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_build_pair_rejects_a_space_off_the_signature_table(family, monkeypatch):
-    params = MINIMAL_PARAMS[family]
+    params = FAMILIES[family].minimal
     spec = build_pair(family, params)
     p, q = spec.space.signature
     wrong = real_space(q, p) if p != q else real_space(p + 1, q - 1)
-    monkeypatch.setitem(families.FAMILY_BUILDERS, family,
-                        lambda params: dataclasses.replace(spec, space=wrong))
+    monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(
+        FAMILIES[family], build=lambda params: (wrong, spec.G, spec.Gp)))
     with pytest.raises(RuntimeError, match="ambient signature"):
         build_pair(family, params)
 
@@ -179,6 +179,18 @@ def test_excluded_sizes_rejected():
         build_pair("U", ((0, 0), (1, 0)))
     with pytest.raises(ClassificationError):
         build_pair("nonsense", (1, 1))
+
+
+@pytest.mark.parametrize("family", ["O_C", "O_C_real", "O_star"])
+def test_excluded_sizes_rejected_before_building(family, monkeypatch):
+    # the smallest member size lives in the family's row, not in its builder
+    def fail(*args):
+        raise AssertionError("an excluded size reached the builder")
+
+    monkeypatch.setitem(families.FAMILIES, family,
+                        dataclasses.replace(FAMILIES[family], build=fail))
+    with pytest.raises(ClassificationError, match="at least 2"):
+        build_pair(family, (1, 2))
 
 
 # one instance per family above the 62 generators a blade mask can carry, most just above
@@ -195,21 +207,22 @@ def test_oversized_instances_rejected_before_building(family, params, monkeypatc
     def fail(*args):
         raise AssertionError("an oversized instance reached the builder")
 
-    monkeypatch.setitem(families.FAMILY_BUILDERS, family, fail)
+    monkeypatch.setitem(families.FAMILIES, family,
+                        dataclasses.replace(FAMILIES[family], build=fail))
     with pytest.raises(ClassificationError, match="ambient dimension"):
         build_pair(family, params)
 
 
 def test_ambient_dim_matches_built_space():
     rows = [(f, json.loads(p)) for f, p in load_expected_table()]
-    for family, params in rows + sorted(MINIMAL_PARAMS.items()):
+    for family, params in rows + sorted((f, row.minimal) for f, row in FAMILIES.items()):
         spec = build_pair(family, params)
-        assert ambient_dim(family, normalize_params(family, params)) == spec.space.dim
+        assert sum(ambient_signature(family, normalize_params(family, params))) == spec.space.dim
 
 
 # --- embedded structure -----------------------------------------------------
 
-@pytest.mark.parametrize("family,params", sorted(MINIMAL_PARAMS.items()))
+@pytest.mark.parametrize("family,params", sorted((f, row.minimal) for f, row in FAMILIES.items()))
 def test_embeddings_are_isometries_and_commute(family, params):
     spec = build_pair(family, params)
     rng = np.random.default_rng(99)
@@ -274,7 +287,7 @@ def test_gl_type2_inverse_transpose_on_dual():
 # --- complexification --------------------------------------------------------
 
 def test_complexify_dimension_preserved_all_families():
-    for family, params in MINIMAL_PARAMS.items():
+    for family, params in ((f, row.minimal) for f, row in FAMILIES.items()):
         spec = build_pair(family, params)
         cpx = complexify(spec)
         assert cpx.space_c.dim == spec.space.dim
@@ -335,7 +348,7 @@ def test_realified_sides_pass_the_construction_checks(fault):
     else:
         G.loops = [SimpleNamespace(name="half", generator=G.loops[0].generator / 2)]
     with pytest.raises((RuntimeError, ValueError)):
-        families.realified("O_C_real", lambda params: spec)((2, 2))
+        families.realified(lambda params: (spec.space, spec.G, spec.Gp))((2, 2))
 
 
 def test_lie_generators_are_matrices_with_one_antisymmetry_check():
@@ -357,7 +370,7 @@ def test_permutation_frames_embed_integer_generators():
     sides = [(p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4]
     checked = 0
     for family, a, b in itertools.product(("O_real", "U"), sides, sides):
-        if ambient_dim(family, (a, b)) > 8:
+        if sum(ambient_signature(family, (a, b))) > 8:
             continue
         spec = build_pair(family, (a, b))
         for X in spec.G.lie_generators + spec.Gp.lie_generators:
@@ -373,7 +386,7 @@ def test_pairs_have_one_constructor_and_the_models_reuse_the_family_bases():
     functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
     callers = {f.name for f in functions for node in ast.walk(f)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DualPairSpec"}
-    assert callers == {"_pair", "realified"}
+    assert callers == {"build_pair"}
     closures = {node.name for f in functions for node in ast.walk(f)
                 if isinstance(node, ast.FunctionDef) and node is not f}
     assert "side" not in closures
@@ -389,6 +402,15 @@ def test_pairs_have_one_constructor_and_the_models_reuse_the_family_bases():
         for name in ("lie", "comps"):
             assert not any(isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
                            for n in ast.walk(methods[name])), (cls.name, name)
+
+
+def test_only_families_names_a_family():
+    # every fact about a family lives in its row of families.FAMILIES
+    for path in Path(families.__file__).parent.glob("*.py"):
+        if path.name != "families.py":
+            tags = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant) and node.value in FAMILIES}
+            assert not tags, (path.name, tags)
 
 
 def test_every_frame_comes_from_groups_or_the_split_frame():
@@ -442,7 +464,7 @@ def test_u_lie_dimensions():
 # --- group / Lie consistency of the embeddings --------------------------------
 
 LOOPS = [(family, which, i)
-         for family, params in sorted(MINIMAL_PARAMS.items())
+         for family, params in sorted((f, row.minimal) for f, row in FAMILIES.items())
          for which in ("G", "Gp")
          for i in range(len(build_pair(family, params).side(which).loops))]
 
@@ -453,7 +475,7 @@ def test_minimal_families_carry_fourteen_loops():
 
 @pytest.mark.parametrize("family,which,index", LOOPS)
 def test_loop_is_one_parameter_subgroup_tangent_to_lie_span(family, which, index):
-    spec = build_pair(family, MINIMAL_PARAMS[family])
+    spec = build_pair(family, FAMILIES[family].minimal)
     side = spec.side(which)
     loop = side.loops[index]
     for s, t in ((0.3, 1.1), (2.0, 2.5), (np.pi, np.pi)):

@@ -1,5 +1,6 @@
 """Pin membership, projection, lifting, commutators, and covers."""
 
+import dataclasses
 import itertools
 import json
 
@@ -9,10 +10,11 @@ import pytest
 from spinpairs import pin
 from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, blade,
                                 exterior_vector, chevalley_T, real_space, scalar_element)
-from spinpairs.cli import load_expected_table
-from spinpairs.families import (FAMILY_BUILDERS, PAIR_PARAM_FAMILIES, Embedding, ambient_dim,
+from spinpairs.cli import RunConfig, load_expected_table, run
+from spinpairs.families import (FAMILIES, PAIR_PARAM_FAMILIES, Embedding, ambient_signature,
                                 build_pair)
-from spinpairs.groups import ClassificationError, LoopGenerator, OrthogonalMap
+from spinpairs.groups import (ClassificationError, LoopGenerator, OrthogonalMap,
+                             UnsupportedFamilyError)
 from spinpairs.pin import (MAX_COMMUTATOR_TERM_PAIRS, MAX_PATH_STEPS, LiftError, NotPinError,
                            PinElement, _commutator_term_pairs, all_commute,
                            classify_extension, commutator_pairing, commutator_sign,
@@ -456,7 +458,23 @@ def test_lift_stages_need_no_embedding_after_build(monkeypatch):
     for spec in specs:
         commutator_pairing(spec)
         for side in ("G", "Gp"):
-            classify_extension(spec, side, steps=32)
+            if "cover" in spec.skips:
+                with pytest.raises(UnsupportedFamilyError):
+                    classify_extension(spec, side, steps=32)
+            else:
+                classify_extension(spec, side, steps=32)
+
+
+def test_classify_extension_refuses_real_orthogonal_covers():
+    # O_real's builder gives no loops, so a label would read Trivial; over the
+    # one rotated plane of O((0,1),(2,0)) the Pin cover is connected
+    spec = build_pair("O_real", ((0, 1), (2, 0)))
+    rec = run(RunConfig([("O_real", ((0, 1), (2, 0)))], stages=("cover",)))["pairs"][0]
+    assert rec["extension_skipped"] == "real orthogonal cover classification out of scope"
+    for side in ("G", "Gp"):
+        with pytest.raises(UnsupportedFamilyError) as refusal:
+            classify_extension(spec, side)
+        assert str(refusal.value) == rec["extension_skipped"]
 
 
 # every instance with sides of size at most 4 and dim E <= 8; 32 steps suffice
@@ -464,18 +482,20 @@ def test_lift_stages_need_no_embedding_after_build(monkeypatch):
 SWEEP_SIDES = [(p, q) for p in range(5) for q in range(5) if 1 <= p + q <= 4]
 
 
-def _verdict_sweep(families=FAMILY_BUILDERS):
+def _verdict_sweep(families=FAMILIES):
     out = {}
     for family in families:
         grid = SWEEP_SIDES if family in PAIR_PARAM_FAMILIES else range(1, 5)
         for a, b in itertools.product(grid, grid):
             try:
-                if ambient_dim(family, (a, b)) > 8:
+                if sum(ambient_signature(family, (a, b))) > 8:
                     continue
                 spec = build_pair(family, (a, b))
             except ClassificationError:
                 continue
-            out[family, a, b] = {s: classify_extension(spec, s, steps=32) for s in ("G", "Gp")}
+            # out-of-scope covers keep their commute verdict and give no label
+            out[family, a, b] = {s: classify_extension(spec, s, steps=32) for s in ("G", "Gp")
+                                 if "cover" not in spec.skips}
             out[family, a, b]["commute"] = all_commute(commutator_pairing(spec))
     return out
 
@@ -490,9 +510,9 @@ def _symmetry_violations(sweep):
     for (family, a, b), ext in sweep.items():
         # swap: G of f(a, b) is G' of f(b, a), and [x, y] = [y, x]^{-1}
         swapped = sweep[family, b, a]
-        if ext["commute"] != swapped["commute"] \
-                or (ext["G"].label, _loop_signs(ext["G"])) \
-                != (swapped["Gp"].label, _loop_signs(swapped["Gp"])):
+        if ext["commute"] != swapped["commute"] or "G" in ext and (
+                (ext["G"].label, _loop_signs(ext["G"]))
+                != (swapped["Gp"].label, _loop_signs(swapped["Gp"]))):
             bad.append(("swap", family, a, b))
         if family != "U":
             continue
@@ -519,16 +539,16 @@ def test_verdicts_respect_swap_and_form_negation():
 
 def test_symmetry_oracle_catches_a_duplicate_loop(monkeypatch):
     # the phantom-loop fault: G gets a second copy of its first loop
-    build_U = FAMILY_BUILDERS["U"]
+    row = FAMILIES["U"]
 
     def with_duplicate_loop(params):
-        spec = build_U(params)
-        if spec.G.loops:
-            first = spec.G.loops[0]
-            spec.G.loops.append(LoopGenerator(first.name + "'", first.space, first.generator))
-        return spec
+        space, G, Gp = row.build(params)
+        if G.loops:
+            first = G.loops[0]
+            G.loops.append(LoopGenerator(first.name + "'", first.space, first.generator))
+        return space, G, Gp
 
-    monkeypatch.setitem(FAMILY_BUILDERS, "U", with_duplicate_loop)
+    monkeypatch.setitem(FAMILIES, "U", dataclasses.replace(row, build=with_duplicate_loop))
     assert _symmetry_violations(_verdict_sweep(["U"])) != []
 
 
