@@ -23,8 +23,7 @@ from . import __version__
 from .families import build_pair, normalize_params
 from .groups import ClassificationError, DimensionCapError, UnsupportedFamilyError
 from .howe import howe_check, invariants
-from .pin import (DEFAULT_PATH_STEPS, MAX_PATH_STEPS, all_commute, classify_extension,
-                  commutator_pairing)
+from .pin import DEFAULT_PATH_STEPS, all_commute, classify_extension, commutator_pairing
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -34,7 +33,6 @@ EXIT_CONFIG = 2
 @dataclass
 class RunConfig:
     pairs: List[Tuple[str, tuple]]
-    steps: int = DEFAULT_PATH_STEPS
     stages: Tuple[str, ...] = ("commute", "cover", "howe")
 
 
@@ -73,8 +71,7 @@ def run_pair(family: str, params, config: RunConfig) -> dict:
     # the stages a family's scope or the duality cap may skip, with their record keys
     skippable = {
         "cover": ("extension", lambda: {
-            side: classify_extension(spec, side, steps=config.steps).to_json()
-            for side in ("G", "Gp")}),
+            side: classify_extension(spec, side).to_json() for side in ("G", "Gp")}),
         "howe": ("howe", lambda: howe_check(spec).to_json()),
     }
     for stage, (key, compute) in skippable.items():
@@ -94,12 +91,12 @@ def run_pair(family: str, params, config: RunConfig) -> dict:
 def run(config: RunConfig) -> dict:
     records = [run_pair(f, p, config) for f, p in config.pairs]
     records.sort(key=lambda r: (r["family"], json.dumps(r["params"])))
-    # the fixed "seed" and "backend" fields keep the report schema and its bytes
+    # the frozen "seed", "backend" and "steps" fields keep the report schema and its bytes
     return {
         "version": __version__,
         "seed": 0,
         "backend": "float",
-        "steps": config.steps,
+        "steps": DEFAULT_PATH_STEPS,
         "pairs": records,
     }
 
@@ -121,9 +118,14 @@ def compare_with_expected(report: dict) -> List[str]:
         if "commute_all_plus" in rec and rec["commute_all_plus"] != row["commute"]:
             problems.append(f"{tag}: commutation verdict {rec['commute_all_plus']} "
                             f"!= expected {row['commute']}")
-        if rec.get("extension"):
+        if "extension" in rec:
             for side, want in (("G", row["ext_G"]), ("Gp", row["ext_Gp"])):
-                if want is not None and rec["extension"][side]["label"] != want:
+                if want is None:
+                    continue
+                if rec["extension"] is None:
+                    problems.append(f"{tag}: cover classification skipped but expected "
+                                    f"{side} {want}: {rec.get('extension_skipped')}")
+                elif rec["extension"][side]["label"] != want:
                     problems.append(f"{tag}: {side} cover {rec['extension'][side]['label']} "
                                     f"!= expected {want}")
         if "howe" in rec and row["howe"] is not None:
@@ -181,14 +183,9 @@ def _emit(report: dict, out: Optional[str], as_json: bool, problems: List[str]):
         click.echo(f"MISMATCH: {p}", err=True)
 
 
-# one step from theta = 0 to 2pi always closes the lift up: at least two
-STEPS = click.IntRange(2, MAX_PATH_STEPS)
-
 _common = [
     click.option("--family", required=True, help="family tag, e.g. U, Sp_R, GL_H"),
     click.option("--params", required=True, help="e.g. '(1,0),(1,1)' or '1,1'"),
-    click.option("--steps", type=STEPS, default=DEFAULT_PATH_STEPS, show_default=True,
-                 help="path-lifting subdivisions"),
     click.option("--out", type=click.Path(), default=None, help="write the JSON report here"),
     click.option("--json", "as_json", is_flag=True, help="print the JSON report"),
 ]
@@ -201,11 +198,10 @@ def _with_common(fn):
 
 
 def _single_pair_command(stages: Tuple[str, ...]):
-    def runner(family, params, steps, out, as_json):
+    def runner(family, params, out, as_json):
         try:
             parsed = _parse_params(family, params)
-            config = RunConfig([(family, parsed)], steps=steps, stages=stages)
-            report = run(config)
+            report = run(RunConfig([(family, parsed)], stages=stages))
         except (ClassificationError, click.UsageError) as exc:
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
@@ -260,15 +256,13 @@ def invariants_cmd(family, params, side, as_json):
 
 
 @main.command("all")
-@click.option("--steps", type=STEPS, default=DEFAULT_PATH_STEPS, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
-def all_cmd(steps, out, as_json):
+def all_cmd(out, as_json):
     """Run every expected-table row and gate on the theorem predictions."""
     table = load_expected_table()
     pairs = [(fam, json.loads(pkey)) for (fam, pkey) in table]
-    config = RunConfig(pairs, steps=steps)
-    report = run(config)
+    report = run(RunConfig(pairs))
     problems = compare_with_expected(report)
     _emit(report, out, as_json, problems)
     if problems:

@@ -175,9 +175,6 @@ class _BladeMap:
     def grade_part(self, k: int):
         return self._new({m: c for m, c in self.terms.items() if grade(m) == k})
 
-    def norm(self) -> float:
-        return math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in self.terms.values()))
-
     def distance(self, other) -> float:
         self._binary_check(other)
         a, b = self.terms, other.terms

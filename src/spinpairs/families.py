@@ -532,4 +532,4 @@ def build_pair(family: str, params) -> DualPairSpec:
         raise RuntimeError(f"{family}{params}: ambient signature {space.signature} "
                            f"!= {signature}")
     skips = {stage: reason.format(family=family) for stage, reason in row.skips.items()}
-    return DualPairSpec(family, params, space, G, Gp, skips)
+    return DualPairSpec(space, G, Gp, skips)

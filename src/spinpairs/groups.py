@@ -148,8 +148,6 @@ class DualPairSpec:
     ``skips`` maps each stage out of scope for the family to its reason.
     """
 
-    family: str
-    params: tuple
     space: QuadraticSpace
     G: SideSpec
     Gp: SideSpec

@@ -7,7 +7,9 @@ reps, and certifies a Howe correspondence by the double-commutant criterion
     Comm <G~> = <G~'>   (both directions)
 
 together with commutativity of the joint commutant, whose dimension counts
-the isotypic blocks of the multiplicity-free decomposition.
+the isotypic blocks of the multiplicity-free decomposition.  The joint
+commutant is solved inside Comm <G~>: the constraints of G~' act on the
+coordinates of its basis, so those of G~ are solved once.
 
 A family whose row in ``families.FAMILIES`` puts the howe stage out of scope
 (the orthogonal pairs) is refused through its spec; ``howe_check`` and
@@ -246,9 +248,6 @@ class InvariantSpace:
     @property
     def dims(self) -> Dict[int, int]:
         return {d: b.shape[0] for d, b in self.degree_bases.items()}
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
     def elements(self) -> List[ExteriorElement]:
         out = []
@@ -525,7 +524,10 @@ def howe_check(spec: DualPairSpec) -> HoweReport:
     comm_G = commutant(ops_G, dim)
     comm_Gp = commutant(ops_Gp, dim)
     equal = subspace_equal(comm_G, alg_Gp) and subspace_equal(comm_Gp, alg_G)
-    joint = commutant(list(ops_G) + list(ops_Gp), dim)
+    # the joint commutant inside Comm<G~>: the constraints of G~' on comm_G's coordinates
+    coords = joint_nullspace((np.stack([(X @ o - o @ X).ravel() for X in comm_G], axis=1)
+                              for o in ops_Gp), len(comm_G))
+    joint = [v.reshape(dim, dim) for v in coords @ np.array([X.ravel() for X in comm_G])]
     return HoweReport(
         pair=f"{spec.G.name} x {spec.Gp.name}",
         dim_s=dim,

@@ -276,15 +276,17 @@ def loop_lift_sign(loop: LoopGenerator, steps: int = DEFAULT_PATH_STEPS) -> int:
 
 @dataclass(frozen=True)
 class ExtensionClass:
-    """Loop signs of a lifted subgroup and the classified label."""
+    """Loop signs of a lifted subgroup; the label is a function of them."""
 
     loop_signs: Dict[str, int]
-    label: str
-    no_loops: bool = False
+
+    @property
+    def label(self) -> str:
+        return label_from_loop_signs(self.loop_signs)
 
     def to_json(self) -> dict:
         return {"loops": dict(sorted(self.loop_signs.items())),
-                "label": self.label, "no_loops": self.no_loops}
+                "label": self.label, "no_loops": not self.loop_signs}
 
 
 def _unitary_rank(name: str) -> Optional[int]:
@@ -323,19 +325,16 @@ def classify_extension(spec: DualPairSpec, side: str,
     Each loop is lifted once, at its first step, and the lift raised to the
     power of the step count (``loop_lift_sign``).  Each sign is checked
     against the loop's weight parity; a disagreement raises LiftError rather
-    than yield a label.  A family whose cover stage is out of scope raises
+    than yield a label.  A side without loops gets no signs, which label it
+    Trivial.  A family whose cover stage is out of scope raises
     UnsupportedFamilyError.
     """
     spec.refuse_skipped("cover")
-    s = spec.side(side)
-    if not s.loops:
-        # simply connected maximal compact: nothing to test, cover is split
-        return ExtensionClass({}, "Trivial", no_loops=True)
     signs = {}
-    for loop in s.loops:
+    for loop in spec.side(side).loops:
         sign = loop_lift_sign(loop, steps=steps)
         if sign != loop.weight_parity:
             raise LiftError(f"loop {loop.name}: path lifting gives {sign:+d} but the "
                             f"weight parity is {loop.weight_parity:+d}")
         signs[loop.name] = sign
-    return ExtensionClass(signs, label_from_loop_signs(signs))
+    return ExtensionClass(signs)

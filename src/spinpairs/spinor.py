@@ -33,7 +33,6 @@ class SpinorSpace:
 
     space: QuadraticSpace          # the complexified quadratic space, dim 2n
     gammas: List[np.ndarray]       # gamma(e_k), one per distinguished generator
-    witt_map: np.ndarray           # columns: a_1..a_n, a*_1..a*_n in e-coordinates
 
     @property
     def half_dim(self) -> int:
@@ -64,13 +63,7 @@ def build_spinors(space_c: QuadraticSpace) -> SpinorSpace:
     # contraction by a_j^* is the transpose of the wedge by a_j
     gammas = [C + C.T for C in create]
     gammas += [1j * (C - C.T) for C in create]
-    witt = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in range(n):
-        witt[j, j] = 0.5
-        witt[n + j, j] = -0.5j        # a_j
-        witt[j, n + j] = 0.5
-        witt[n + j, n + j] = 0.5j     # a_j^*
-    return SpinorSpace(space_c, gammas, witt)
+    return SpinorSpace(space_c, gammas)
 
 
 def gamma_tilde(sp: SpinorSpace, x: CliffordElement) -> np.ndarray:

@@ -177,21 +177,21 @@ def test_expected_table_well_formed():
         assert "claim" in row
 
 
+def test_skipped_cover_with_expected_label_is_a_mismatch():
+    # like a skipped duality check, a skipped cover certifies no expected label
+    report = run(RunConfig([("U", ((1, 0), (1, 0)))], stages=()))
+    rec = report["pairs"][0]
+    rec["extension"], rec["extension_skipped"] = None, "out of scope"
+    assert compare_with_expected(report) == [
+        f"U[[1, 0], [1, 0]]: cover classification skipped but expected {side} DetHalf: "
+        "out of scope" for side in ("G", "Gp")]
+
+
 def test_mismatch_detection():
     report = run(RunConfig([("U", ((1, 0), (1, 0)))]))
     report["pairs"][0]["commute_all_plus"] = False
     problems = compare_with_expected(report)
     assert problems and "commutation verdict" in problems[0]
-
-
-@pytest.mark.parametrize("steps", ["1", "0", "-5"])
-def test_cli_rejects_too_few_path_steps(steps):
-    # one step from 0 to 2pi always closes up and would report Trivial
-    runner = CliRunner()
-    for cmd in (["classify-cover", "--family", "U", "--params", "(1,0),(2,0)"], ["all"]):
-        res = runner.invoke(main, cmd + ["--steps", steps])
-        assert res.exit_code == EXIT_CONFIG
-        assert "--steps" in res.output
 
 
 def test_cli_all_json_stdout_is_json(monkeypatch):
@@ -221,9 +221,9 @@ def test_cli_rejects_non_integer_params(family, params):
 def test_cli_has_no_backend_or_seed_option(cmd):
     runner = CliRunner()
     usage = runner.invoke(main, [cmd[0], "--help"]).output
-    assert "--steps" in usage
-    assert "--backend" not in usage and "--seed" not in usage and "--timings" not in usage
-    for opt in (["--backend", "float"], ["--seed", "0"], ["--timings"]):
+    for opt in ("--backend", "--seed", "--timings", "--steps"):
+        assert opt not in usage
+    for opt in (["--backend", "float"], ["--seed", "0"], ["--timings"], ["--steps", "512"]):
         assert runner.invoke(main, cmd + opt).exit_code == EXIT_CONFIG
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spinpairs
+from spinpairs import howe
 from spinpairs.clifford import ExteriorElement, complex_space, exterior_vector
 from spinpairs.families import build_pair
 from spinpairs.groups import UnsupportedFamilyError, complexify
@@ -253,7 +254,7 @@ def test_eta_antisymmetry():
             acc = acc + (u_a ^ u_b)
         return acc
 
-    assert (eta(0, 1) + eta(1, 0)).norm() < 1e-12
+    assert (eta(0, 1) + eta(1, 0)).is_zero()
 
 
 def test_gamma_generators_killed_by_sp_derivations():
@@ -341,7 +342,7 @@ def test_transfer_degree_zero_gives_identity():
     found_identity = any(np.allclose(o / o[0, 0], np.eye(spn.dim_s), atol=1e-9)
                          for o in ops if abs(o[0, 0]) > 1e-9)
     assert found_identity
-    assert len(ops) == inv.total_dim()
+    assert len(ops) == sum(inv.dims.values())
 
 
 def test_transfer_image_conjugation_invariant():
@@ -408,6 +409,9 @@ KEPT_FOR_TESTS = {
     "quaternion_matrix_product": "oracle: quaternion arithmetic for the realified embedding",
     "pin_element": "oracle: the full Pin membership check of lifted elements",
     "blade": "constructor of test inputs, like SideSpec.random_element",
+    "_BladeMap.equals_exact": "oracle: term-for-term equality of sign-exact blade products",
+    "SideSpec.random_element": "constructor of test inputs: a random element of one member",
+    "Family.minimal": "fixture: the smallest honest instance of each family",
 }
 
 
@@ -423,13 +427,17 @@ def _references(tree: ast.AST):
             yield node.value  # the benchmark names some models by string
 
 
-def test_every_public_name_is_used_by_the_package_or_benchmark():
+def _package_and_bench():
+    """The package's modules by path, and every parsed tree of the package and bench/."""
     src = Path(spinpairs.__file__).parent
     modules = {p: ast.parse(p.read_text()) for p in src.glob("*.py") if p.name != "__init__.py"}
     bench = Path(__file__).resolve().parents[1] / "bench"
-    used = {name for tree in [*modules.values(), *(ast.parse(p.read_text())
-                                                   for p in bench.glob("*.py"))]
-            for name in _references(tree)}
+    return modules, [*modules.values(), *(ast.parse(p.read_text()) for p in bench.glob("*.py"))]
+
+
+def test_every_public_name_is_used_by_the_package_or_benchmark():
+    modules, trees = _package_and_bench()
+    used = {name for tree in trees for name in _references(tree)}
     unused = []
     for path, tree in sorted(modules.items()):
         for node in tree.body:
@@ -440,6 +448,41 @@ def test_every_public_name_is_used_by_the_package_or_benchmark():
             if node.name not in used and node.name not in KEPT_FOR_TESTS:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def _reads(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # report keys, and the names the benchmark passes to getattr
+
+
+def test_every_public_member_is_read_by_the_package_or_benchmark():
+    # Coarse: a member passes if any attribute load or string anywhere bears its
+    # name, so a write-only field named like a report key (DualPairSpec's old
+    # `family` and `params`) still needs a reader's eye.
+    modules, trees = _package_and_bench()
+    read = {name for tree in trees for name in _reads(tree)}
+    unread = []
+    for path, tree in sorted(modules.items()):
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            # a to_json of asdict(self) reads every field into the report
+            as_dict = any(isinstance(node, ast.FunctionDef) and node.name == "to_json"
+                          and "asdict(self)" in ast.unparse(node) for node in cls.body)
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    if as_dict:
+                        continue
+                    name = node.target.id
+                else:
+                    continue
+                if name[0] != "_" and name not in read \
+                        and f"{cls.name}.{name}" not in KEPT_FOR_TESTS:
+                    unread.append(f"{path.name}:{cls.name}.{name}")
+    assert unread == []
 
 
 def test_generated_algebra_of_gammas_is_full():
@@ -509,6 +552,32 @@ def test_howe_scope_guards():
         howe_check(build_pair("O_C_real", (2, 2)))
     with pytest.raises(DimensionCapError):
         howe_check(build_pair("O_star", (2, 2)))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("GL_R", (2, 1)), ("U", ((1, 1), (1, 1))), ("Sp_H", ((1, 1), (1, 0))), ("Sp_R", (1, 2))])
+def test_joint_commutant_is_solved_inside_comm_G(family, params, monkeypatch):
+    # G's constraints are solved once: one commutant per side, and the joint
+    # commutant restricts Comm<G~> by the constraints of G~'
+    spec = build_pair(family, params)
+    solve = howe.commutant
+    calls = []
+
+    def spy(ops, dim):
+        calls.append(ops)
+        return solve(ops, dim)
+
+    monkeypatch.setattr(howe, "commutant", spy)
+    rep = howe_check(spec)
+    cpx = complexify(spec)
+    spn = build_spinors(cpx.space_c)
+    sides = [side_operators(spec, spn, cpx, side) for side in ("G", "Gp")]
+    assert len(calls) == 2
+    for got, want in zip(calls, sides):
+        assert len(got) == len(want) and all(np.allclose(a, b) for a, b in zip(got, want))
+    joint = solve(sides[0] + sides[1], spn.dim_s)
+    assert rep.isotypic_count == len(joint)
+    assert rep.mult_free == is_commutative(joint)
 
 
 def test_joint_commutant_commutativity_detection():

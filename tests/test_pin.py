@@ -434,7 +434,7 @@ def test_extension_labels(family, params, side, label):
 
 def test_no_loop_families_annotated():
     ext = classify_extension(build_pair("GL_H", (1, 1)), "G")
-    assert ext.no_loops and ext.label == "Trivial" and ext.loop_signs == {}
+    assert ext.to_json()["no_loops"] and ext.label == "Trivial" and ext.loop_signs == {}
 
 
 def test_block_sum_loop_sign_multiplicativity():

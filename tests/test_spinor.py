@@ -33,9 +33,10 @@ def test_gamma_anticommutators(n):
 
 def test_witt_vectors_are_creation_annihilation():
     # gamma(a_1) gamma(a_1^*) + gamma(a_1^*) gamma(a_1) = 2 b(a_1, a_1^*) = Id
+    # a_1 = (e_1 - i e_3)/2 and a_1^* = (e_1 + i e_3)/2
     sp = build_spinors(complex_space(4))
-    a1 = gamma_tilde(sp, from_vector(sp.space, sp.witt_map[:, 0]))
-    a1s = gamma_tilde(sp, from_vector(sp.space, sp.witt_map[:, 2]))
+    a1 = gamma_tilde(sp, from_vector(sp.space, np.array([0.5, 0, -0.5j, 0])))
+    a1s = gamma_tilde(sp, from_vector(sp.space, np.array([0.5, 0, 0.5j, 0])))
     assert np.allclose(a1 @ a1, 0, atol=1e-12)
     assert np.allclose(a1 @ a1s + a1s @ a1, np.eye(4), atol=1e-12)
 
