@@ -9,7 +9,11 @@ reps, and certifies a Howe correspondence by the double-commutant criterion
 together with commutativity of the joint commutant, whose dimension counts
 the isotypic blocks of the multiplicity-free decomposition.  The joint
 commutant is solved inside Comm <G~>: the constraints of G~' act on the
-coordinates of its basis, so those of G~ are solved once.
+coordinates of its basis, so those of G~ are solved once.  Each algebra
+<G~> is an incremental span closure: every round multiplies only the rows
+the last round added, one generator at a time, and orthogonalizes the
+products against the basis so far, so no SVD sees more rows than that
+frontier.
 
 A family whose row in ``families.FAMILIES`` puts the howe stage out of scope
 (the orthogonal pairs) is refused through its spec; ``howe_check`` and
@@ -453,18 +457,37 @@ def commutant(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
 
 
 def generated_algebra(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
-    """Orthonormal basis of the unital algebra generated by ops, by span closure."""
-    basis = orthonormal_rows([np.eye(dim, dtype=complex)] + [np.asarray(o) for o in ops])
-    while True:
-        prods = list(basis)
+    """Orthonormal basis of the unital algebra generated by ops, by incremental closure.
+
+    The basis B starts as span{I, ops}; the frontier F holds the rows the
+    last round added.  A round multiplies F by one generator o at a time, in
+    one batched matmul, removes the span(B) component of the products twice
+    (classical Gram-Schmidt with reorthogonalization) and appends the rows of
+    the residual's SVD above the cutoff, scaled by the largest product norm.
+    Every o·b of an older row b already lies in span(B), so a round that
+    adds nothing leaves span(B) closed under left multiplication by the ops,
+    and it is the algebra.  Each product is formed once and no SVD sees
+    more rows than the frontier.
+    """
+    ops = [np.asarray(o) for o in ops]
+    basis = orthonormal_rows([np.eye(dim, dtype=complex)] + ops)
+    frontier = basis
+    # more rows than dim End(S) can only be a basis that lost its orthonormality
+    while len(frontier) and len(basis) <= dim * dim:
+        start = len(basis)
         for o in ops:
-            om = np.asarray(o)
-            for b in basis:
-                prods.append((om @ b.reshape(dim, dim)).ravel())
-        nxt = orthonormal_rows(prods)
-        if nxt.shape[0] == basis.shape[0]:
-            return [b.reshape(dim, dim) for b in basis]
-        basis = nxt
+            prods = (o @ frontier.reshape(-1, dim, dim)).reshape(len(frontier), -1)
+            scale = max(1.0, np.linalg.norm(prods, axis=1).max())
+            resid = prods
+            for _ in range(2):
+                resid = resid - (resid @ basis.conj().T) @ basis
+            _, s, vh = np.linalg.svd(resid, full_matrices=False)
+            basis = np.concatenate([basis, vh[:_rank(s, scale)]])
+        frontier = basis[start:]
+    drift = np.abs(basis @ basis.conj().T - np.eye(len(basis))).max(initial=0.0)
+    if drift > RANK_TOL:
+        raise RuntimeError(f"span closure lost orthonormality: |B B^H - I| = {drift:.1e}")
+    return list(basis.reshape(-1, dim, dim))
 
 
 def is_commutative(ops: Sequence[np.ndarray]) -> bool:

@@ -1,6 +1,7 @@
 """Invariants, generator theorems, transfer, and the double-commutant checks."""
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 
 import spinpairs
 from spinpairs import howe
+from spinpairs.cli import load_expected_table
 from spinpairs.clifford import ExteriorElement, complex_space, exterior_vector
-from spinpairs.families import build_pair
+from spinpairs.families import build_pair, normalize_params
 from spinpairs.groups import UnsupportedFamilyError, complexify
 from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_of_degree,
                             commutant,
                             exterior_derivation_matrix, exterior_group_matrix,
                             generated_algebra, howe_check, invariant_space, invariants,
-                            is_commutative, nullspace, side_operators, subspace_equal,
-                            transfer_invariants, verify_generation)
+                            is_commutative, nullspace, orthonormal_rows, side_operators,
+                            subspace_equal, transfer_invariants, verify_generation)
 from spinpairs.pin import lift
 from spinpairs.spinor import build_spinors, pi_rep
 
@@ -491,6 +493,11 @@ def test_generated_algebra_of_gammas_is_full():
     assert len(alg) == 16
 
 
+def test_generated_algebra_of_no_ops_is_the_scalars():
+    alg = generated_algebra([], 4)
+    assert len(alg) == 1 and np.allclose(alg[0], alg[0][0, 0] * np.eye(4))
+
+
 TRANSFER_PAIRS = [
     ("GL_R", (1, 1)), ("U", ((1, 0), (1, 0))), ("U", ((1, 1), (1, 0))),
     ("Sp_R", (1, 1)), ("Sp_H", ((1, 0), (1, 0))), ("GL_C", (1, 1)),
@@ -530,6 +537,77 @@ def test_howe_correspondence(family, params):
     assert rep.isotypic_count >= 1
     assert rep.dim_commutant == rep.dim_algebra
     assert rep.dim_commutant_other == rep.dim_algebra_other
+
+
+def _full_stack_closure(ops, dim):
+    """Oracle: each round stacks the basis and every op times every basis row
+    and takes one SVD of the whole stack, until the rank stops growing."""
+    basis = orthonormal_rows([np.eye(dim, dtype=complex)] + [np.asarray(o) for o in ops])
+    while True:
+        prods = list(basis)
+        for o in ops:
+            for b in basis:
+                prods.append((np.asarray(o) @ b.reshape(dim, dim)).ravel())
+        nxt = orthonormal_rows(prods)
+        if nxt.shape[0] == basis.shape[0]:
+            return [b.reshape(dim, dim) for b in basis]
+        basis = nxt
+
+
+def _side_operator_sets(family, params):
+    spec = build_pair(family, params)
+    cpx = complexify(spec)
+    spn = build_spinors(cpx.space_c)
+    return [(side_operators(spec, spn, cpx, side), spn.dim_s) for side in ("G", "Gp")]
+
+
+_HOWE_TABLE_ROWS = [(fam, normalize_params(fam, json.loads(pkey)))
+                    for (fam, pkey), row in load_expected_table().items()
+                    if row["howe"] is not None]
+
+
+@pytest.mark.parametrize("family,params",
+                         HOWE_PAIRS + [r for r in _HOWE_TABLE_ROWS if r not in HOWE_PAIRS])
+def test_closure_matches_the_full_stack_oracle(family, params):
+    for ops, d in _side_operator_sets(family, params):
+        alg = generated_algebra(ops, d)
+        oracle = _full_stack_closure(ops, d)
+        assert len(alg) == len(oracle)
+        assert subspace_equal(alg, oracle)
+        # an algebra: I and every o b lie in the span of the returned basis
+        B = np.array([b.ravel() for b in alg])
+        prods = np.concatenate([np.eye(d).reshape(1, -1)]
+                               + [(np.asarray(o) @ B.reshape(-1, d, d)).reshape(len(B), -1)
+                                  for o in ops])
+        resid = prods - (prods @ B.conj().T) @ B
+        assert np.abs(resid).max() <= 1e-8 * max(1.0, np.abs(prods).max())
+
+
+@pytest.mark.parametrize("family,params", [("Sp_C_real", (1, 1)), ("GL_R", (2, 2)),
+                                           ("U", ((1, 1), (1, 1)))])
+def test_closure_never_stacks_products(family, params, monkeypatch):
+    # at most the initial span{I, ops} or one frontier per SVD, never the
+    # (1 + k) |B| rows of a full stack
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for ops, d in _side_operator_sets(family, params):
+        calls.clear()
+        alg = generated_algebra(ops, d)
+        assert calls and max(calls) <= max(1 + len(ops), len(alg))
+
+
+def test_closure_raises_when_its_basis_loses_orthonormality(monkeypatch):
+    rows = howe.orthonormal_rows
+    monkeypatch.setattr(howe, "orthonormal_rows", lambda r: rows(r) * 1.001)
+    spn = build_spinors(complex_space(4))
+    with pytest.raises(RuntimeError, match="orthonormality"):
+        generated_algebra(spn.gammas, spn.dim_s)
 
 
 def test_howe_algebra_saturated_by_group_elements():
