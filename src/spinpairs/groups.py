@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .clifford import QuadraticSpace, complex_space
 
@@ -58,6 +57,19 @@ def is_b_antisymmetric(space: QuadraticSpace, X: np.ndarray) -> bool:
     """X^T B + B X = 0 for the gram B of ``space``: X lies in o(E, b)."""
     B = np.diag(np.array(space.norms, dtype=float))
     return bool(np.allclose(X.T @ B + B @ X, 0, atol=ISOMETRY_TOL))
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) by scaling and squaring: X / 2^s has 1-norm at most 1, then degree-18 Taylor."""
+    s = max(0, int(np.frexp(np.abs(X).sum(axis=0).max())[1]))
+    A = X / 2.0 ** s
+    E = term = np.eye(len(X), dtype=A.dtype)
+    for k in range(1, 19):
+        term = term @ A / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 @dataclass(frozen=True)
@@ -113,20 +125,6 @@ class SideSpec:
     loops: List[LoopGenerator]
     embed_group: Callable[..., OrthogonalMap]
 
-    def random_element(self, rng: np.random.Generator) -> OrthogonalMap:
-        """Product of a random Lie exponential and a random subset of component reps."""
-        n = self.space.dim
-        M = np.eye(n, dtype=complex)
-        if self.lie_generators:
-            X = sum(rng.normal() * g for g in self.lie_generators)
-            M = M @ sla.expm(0.5 / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
-        for rep in self.component_reps:
-            if rng.integers(2):
-                M = M @ rep.map.matrix
-        if self.space.field_kind == "real":
-            M = M.real
-        return OrthogonalMap(self.space, M)
-
     def identity_probe(self) -> Tuple[str, OrthogonalMap]:
         """A deterministic identity-component element away from the identity."""
         if self.loops:
@@ -135,7 +133,7 @@ class SideSpec:
         if not self.lie_generators:
             return "id", OrthogonalMap(self.space, np.eye(self.space.dim))
         X = self.lie_generators[0]
-        g = sla.expm(0.3 / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
+        g = _expm(0.3 / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
         if self.space.field_kind == "real":
             g = g.real
         return "exp0", OrthogonalMap(self.space, g)

@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .clifford import (ExteriorElement, QuadraticSpace, _mask_indices, chevalley_T,
                        complex_space, exterior_blade_images, reorder_sign)
@@ -319,7 +318,8 @@ class GLModel:
         return complex_space(self.dim)
 
     def lie(self) -> List[np.ndarray]:
-        return [sla.block_diag(np.kron(X, np.eye(self.m)), np.kron(-X.T, np.eye(self.l)))
+        Z = np.zeros((self.n * self.m, self.n * self.l))
+        return [np.block([[np.kron(X, np.eye(self.m)), Z], [Z.T, np.kron(-X.T, np.eye(self.l))]])
                 for X in gl_real_basis(self.n)]
 
     def comps(self) -> List[np.ndarray]:

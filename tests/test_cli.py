@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import spinpairs
 from spinpairs import cli
 from spinpairs.families import FAMILIES, PAIR_PARAM_FAMILIES
 from spinpairs.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, RunConfig,
@@ -234,3 +237,17 @@ def test_table_report_matches_bench_reference():
     pairs = [(fam, json.loads(pkey)) for (fam, pkey) in load_expected_table()]
     text = json.dumps(run(RunConfig(pairs)), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_package_imports_no_scipy_and_depends_on_numpy_and_click():
+    # a fresh interpreter sees transitive imports too, which a scan of src/ would miss
+    src = str(Path(spinpairs.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import spinpairs.cli; "
+            "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+    import tomllib  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    project = pyproject["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy", "click"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

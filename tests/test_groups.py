@@ -9,19 +9,32 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from spinpairs import families, howe
 from spinpairs.cli import load_expected_table
 from spinpairs.clifford import real_space
 from spinpairs.families import (FAMILIES, ambient_signature, build_pair,
                                 normalize_params, sp_pq_quat_basis, u_pq_basis)
-from spinpairs.groups import (ClassificationError, ComponentRep, OrthogonalMap, complexify,
+from spinpairs.groups import (ClassificationError, ComponentRep, OrthogonalMap, _expm, complexify,
                               fixed_real_basis, is_b_antisymmetric, orthogonalize_real_gram,
                               quaternion_J, quaternion_matrix_product, realify_complex_matrix,
                               realify_quaternionic, tensor_kl_permutation)
 from spinpairs.howe import span_rank
 
 RNG = np.random.default_rng(2024)
+
+
+def random_element(side, rng: np.random.Generator) -> OrthogonalMap:
+    """Product of a random Lie exponential and a random subset of one member's component reps."""
+    M = np.eye(side.space.dim, dtype=complex)
+    if side.lie_generators:
+        X = sum(rng.normal() * g for g in side.lie_generators)
+        M = M @ sla.expm(0.5 / max(1.0, np.abs(X).max()) * np.asarray(X, dtype=complex))
+    for rep in side.component_reps:
+        if rng.integers(2):
+            M = M @ rep.map.matrix
+    return OrthogonalMap(side.space, M.real if side.space.field_kind == "real" else M)
 
 
 # --- realification of complex spaces ----------------------------------------
@@ -227,8 +240,8 @@ def test_embeddings_are_isometries_and_commute(family, params):
     spec = build_pair(family, params)
     rng = np.random.default_rng(99)
     for _ in range(100):
-        g = spec.G.random_element(rng)
-        h = spec.Gp.random_element(rng)
+        g = random_element(spec.G, rng)
+        h = random_element(spec.Gp, rng)
         assert g.is_isometry()
         assert h.is_isometry()
         assert np.allclose(g.matrix @ h.matrix, h.matrix @ g.matrix, atol=1e-8)
@@ -236,6 +249,17 @@ def test_embeddings_are_isometries_and_commute(family, params):
         assert is_b_antisymmetric(spec.space, X)
     for rep in spec.G.component_reps + spec.Gp.component_reps:
         assert rep.map.is_isometry()
+
+
+@pytest.mark.parametrize("family,params", sorted((f, row.minimal) for f, row in FAMILIES.items()))
+def test_expm_matches_scipy_on_every_lie_generator(family, params):
+    # the identity probe's scale, then scales at which the squaring loop runs
+    spec = build_pair(family, params)
+    for X in spec.G.lie_generators + spec.Gp.lie_generators:
+        X = np.asarray(X, dtype=complex)
+        for c in (0.3 / max(1.0, np.abs(X).max()), 1.0, 7.0, 40.0):
+            want = sla.expm(c * X)
+            assert np.abs(_expm(c * X) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_component_reps_exact_isometries_where_integer():

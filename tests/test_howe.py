@@ -21,6 +21,7 @@ from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_
                             subspace_equal, transfer_invariants, verify_generation)
 from spinpairs.pin import lift
 from spinpairs.spinor import build_spinors, pi_rep
+from test_groups import random_element
 
 RNG = np.random.default_rng(314)
 
@@ -410,9 +411,8 @@ KEPT_FOR_TESTS = {
     "chevalley_T_vectors": "oracle: the Chevalley map by its permutation-sum definition",
     "quaternion_matrix_product": "oracle: quaternion arithmetic for the realified embedding",
     "pin_element": "oracle: the full Pin membership check of lifted elements",
-    "blade": "constructor of test inputs, like SideSpec.random_element",
+    "blade": "constructor of test inputs: the unit blade of a set of basis vectors",
     "_BladeMap.equals_exact": "oracle: term-for-term equality of sign-exact blade products",
-    "SideSpec.random_element": "constructor of test inputs: a random element of one member",
     "Family.minimal": "fixture: the smallest honest instance of each family",
 }
 
@@ -618,7 +618,7 @@ def test_howe_algebra_saturated_by_group_elements():
     ops = side_operators(spec, spn, cpx, "G")
     alg = generated_algebra(ops, spn.dim_s)
     rng = np.random.default_rng(2)
-    extra = [pi_rep(spn, lift(spec.G.random_element(rng))) for _ in range(4)]
+    extra = [pi_rep(spn, lift(random_element(spec.G, rng))) for _ in range(4)]
     alg2 = generated_algebra(list(ops) + extra, spn.dim_s)
     assert len(alg2) == len(alg)
 
