@@ -250,6 +250,50 @@ def _dropped(out: Dict[int, complex]) -> Dict[int, complex]:
     return {m: c for m, c in out.items() if abs(c) > FLOAT_DROP_TOL}
 
 
+# A product takes the array path from MUL_ARRAY_MIN_PAIRS term pairs on, if
+# its 2**dim bins are at most four per term pair and at most
+# MUL_ARRAY_MAX_BINS; smaller products are faster in the dict loop.  The
+# array path builds its grid in blocks of at most MUL_BLOCK_PAIRS term pairs.
+MUL_ARRAY_MIN_PAIRS = 1 << 10
+MUL_ARRAY_MAX_BINS = 1 << 16
+MUL_BLOCK_PAIRS = 1 << 16
+
+
+def _mul_arrays(a: Dict[int, complex], b: Dict[int, complex],
+                space: QuadraticSpace) -> Dict[int, complex]:
+    """The dict loop of CliffordElement.__mul__ as array operations, bit for bit.
+
+    The grid's rows are a's terms and its columns b's, so row-major order is
+    the loop's order.  Each coefficient is Python's complex product written
+    out in real arithmetic (numpy's complex multiply rounds differently).
+    np.add.at adds in index order into bins that start at -0.0, which is an
+    exact identity for addition, so every bin is the loop's sum, signed zeros
+    included; the keys come out in the order they first appear, the loop's
+    insertion order.
+    """
+    na, nb = len(a), len(b)
+    masks_a = np.fromiter(a, np.int64, na)[:, None]
+    masks_b = np.fromiter(b, np.int64, nb)
+    signs_b = np.fromiter((blade_sign_mask(m, space) for m in b), np.int64, nb)
+    ca = np.fromiter(a.values(), complex, na)[:, None]
+    cb = np.fromiter(b.values(), complex, nb)
+    sums = np.full(1 << space.dim, complex(-0.0, -0.0))
+    first = np.full(1 << space.dim, na * nb)
+    rows = max(1, MUL_BLOCK_PAIRS // nb)
+    for i in range(0, na, rows):
+        ma, xa = masks_a[i:i + rows], ca[i:i + rows]
+        at = (ma ^ masks_b).ravel()
+        sign = 1.0 - 2.0 * (np.bitwise_count(ma & signs_b) & 1)
+        prod = np.empty(sign.shape, complex)
+        prod.real = (xa.real * cb.real - xa.imag * cb.imag) * sign
+        prod.imag = (xa.real * cb.imag + xa.imag * cb.real) * sign
+        np.add.at(sums, at, prod.ravel())
+        np.minimum.at(first, at, np.arange(i * nb, i * nb + at.size))
+    keys = np.flatnonzero(first < na * nb)
+    keys = keys[np.argsort(first[keys])]
+    return _dropped(dict(zip(keys.tolist(), sums[keys].tolist())))
+
+
 class CliffordElement(_BladeMap):
     """Sparse element of Cliff(E, b); `*` is the Clifford product."""
 
@@ -258,6 +302,9 @@ class CliffordElement(_BladeMap):
             return self.scale(other)
         self._binary_check(other)
         space = self.space
+        pairs = len(self.terms) * len(other.terms)
+        if pairs >= MUL_ARRAY_MIN_PAIRS and 1 << space.dim <= min(4 * pairs, MUL_ARRAY_MAX_BINS):
+            return self._new(_mul_arrays(self.terms, other.terms, space), clean=True)
         right = [(mb, cb, blade_sign_mask(mb, space)) for mb, cb in other.terms.items()]
         out: Dict[int, complex] = {}
         for ma, ca in self.terms.items():

@@ -250,4 +250,7 @@ def test_package_imports_no_scipy_and_depends_on_numpy_and_click():
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     project = pyproject["project"]
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy", "click"]
+    # np.bitwise_count needs numpy 2.0, and this test's tomllib Python 3.11
+    assert "numpy>=2.0" in project["dependencies"]
+    assert project["requires-python"] == ">=3.11"
     assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

@@ -1,6 +1,7 @@
 """Blade arithmetic, involutions, and the Chevalley map."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,21 +101,79 @@ def test_blade_kernel_matches_bubble_sort_oracle(case):
     assert wedge.terms == ({} if a & b else {a | b: complex(reorder)})
 
 
-@pytest.mark.parametrize("pq", [(2, 2), (4, 4), (1, 5)])
-def test_mul_bit_identical_to_blade_product_loop(pq):
-    # the reference sums each coefficient in the product's own order, so the
-    # float product must match it bit for bit
+def dense_element(rng, space, nterms, real=False):
+    # nterms distinct blades; real coefficients keep signed zeros in the products
+    masks = rng.choice(1 << space.dim, size=nterms, replace=False)
+    return CliffordElement(space, {int(m): complex(rng.normal(), 0.0 if real else rng.normal())
+                                   for m in masks})
+
+
+def _bits(terms):
+    # blades in dict order with the exact bits of both parts; hex tells -0.0 from 0.0
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in terms.items()]
+
+
+# the array path starts at 1024 term pairs; 700 x 300 at dim 12 takes four
+# blocks of the grid, and at dim 16 64 x 64 has too many bins a pair for it
+MUL_CASES = [
+    ((2, 2), (12, 12), False, False),
+    ((4, 4), (40, 40), False, True),
+    ((1, 5), (30, 30), False, False),
+    ((6, 6), (64, 32), True, True),
+    ((6, 6), (700, 300), False, True),
+    ((8, 8), (128, 128), False, True),
+    ((8, 8), (64, 64), False, False),
+]
+
+
+@pytest.mark.parametrize("pq, sizes, real, array", MUL_CASES,
+                         ids=[f"pq{i}" for i in range(len(MUL_CASES))])
+def test_mul_bit_identical_to_blade_product_loop(pq, sizes, real, array, array_products):
+    # the reference sums each coefficient in the product's own order, so both
+    # paths must match its terms bit for bit, signed zeros and dict order included
     space = real_space(*pq)
-    rng = np.random.default_rng(sum(pq))
-    for _ in range(10):
-        x, y = random_float_element(rng, space, 40), random_float_element(rng, space, 40)
-        want = {}
-        for ma, ca in x.terms.items():
-            for mb, cb in y.terms.items():
-                m, sign = blade_product(ma, mb, space)
-                contrib = ca * cb if sign == 1 else -(ca * cb)
-                want[m] = want[m] + contrib if m in want else contrib
-        assert (x * y).equals_exact(CliffordElement(space, want))
+    rng = np.random.default_rng(sum(pq) + sizes[0])
+    x, y = (dense_element(rng, space, n, real) for n in sizes)
+    want = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            m, sign = blade_product(ma, mb, space)
+            contrib = ca * cb if sign == 1 else -(ca * cb)
+            want[m] = want[m] + contrib if m in want else contrib
+    want = CliffordElement(space, want).terms
+    if real:
+        assert {math.copysign(1.0, c.imag) for c in want.values()} == {1.0, -1.0}
+    assert _bits((x * y).terms) == _bits(want)
+    assert array_products == ([sizes] if array else [])
+
+
+def test_mul_dispatch_reads_term_counts_and_dim(array_products):
+    # array path: at least 1024 term pairs, at most four bins a pair and 2**16 bins
+    rng = np.random.default_rng(9)
+    cases = [(8, (31, 33), False), (8, (32, 32), True), (12, (32, 32), True),
+             (12, (31, 33), False), (16, (64, 64), False), (17, (256, 128), False)]
+    for dim, sizes, array in cases:
+        space = real_space(dim)
+        x, y = (dense_element(rng, space, n) for n in sizes)
+        del array_products[:]
+        x * y
+        assert array_products == ([sizes] if array else []), (dim, sizes)
+
+
+def test_array_product_memory_is_blocked():
+    # 1024 x 1024 terms at dim 12 is 2**20 term pairs, whose unblocked grid
+    # would hold 24 MiB in its blade indices and coefficients alone; blocks of
+    # 2**16 pairs keep the traced peak near 3.3 MiB
+    space = real_space(6, 6)
+    rng = np.random.default_rng(12)
+    x, y = dense_element(rng, space, 1024), dense_element(rng, space, 1024)
+    tracemalloc.start()
+    try:
+        x * y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @st.composite
@@ -140,6 +199,26 @@ def test_mul_matches_integer_oracle(case):
     space = QuadraticSpace("real", norms)
     x, y = (CliffordElement(space, {m: complex(*c) for m, c in t.items()}) for t in (a, b))
     assert (x * y).terms == {m: complex(*c) for m, c in want.items() if c != (0, 0)}
+
+
+def test_mul_matches_integer_oracle_on_the_array_path(array_products):
+    # the hypothesis oracle's products stay under the array threshold; these
+    # dense Gaussian-integer products are above it at dim 8 to 10
+    rng = np.random.default_rng(810)
+    for dim, sizes in ((8, (48, 40)), (9, (64, 32)), (10, (40, 40))):
+        norms = tuple(int(s) for s in rng.choice((1, -1), size=dim))
+        a, b = ({int(m): (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+                 for m in rng.choice(1 << dim, size=n, replace=False)} for n in sizes)
+        want = {}
+        for ma, (ar, ai) in a.items():
+            for mb, (br, bi) in b.items():
+                _, m, sign = _oracle_blade_product(ma, mb, norms)
+                re, im = want.get(m, (0, 0))
+                want[m] = (re + sign * (ar * br - ai * bi), im + sign * (ar * bi + ai * br))
+        space = QuadraticSpace("real", norms)
+        x, y = (CliffordElement(space, {m: complex(*c) for m, c in t.items()}) for t in (a, b))
+        assert (x * y).terms == {m: complex(*c) for m, c in want.items() if c != (0, 0)}
+    assert len(array_products) == 3
 
 
 def test_bit_tricks_and_exact_conversion_only_in_clifford():
