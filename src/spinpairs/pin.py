@@ -33,8 +33,8 @@ SKIP_TOL = 1e-10
 DEFAULT_PATH_STEPS = 256
 MAX_PATH_STEPS = 1 << 14
 # about 5 s of Clifford products on the dict loop at 0.2-0.3 us a term pair, which runs
-# every product above dim 16, or under 1 s on the array path at 0.02-0.09 us a pair;
-# the expected table needs 69,888 at most
+# every product above dim 16, or about 0.3-1.5 s on the array path at 0.02-0.09 us a
+# pair; the expected table needs 69,888 at most
 MAX_COMMUTATOR_TERM_PAIRS = 1 << 24
 
 

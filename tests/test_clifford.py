@@ -130,21 +130,23 @@ MUL_CASES = [
                          ids=[f"pq{i}" for i in range(len(MUL_CASES))])
 def test_mul_bit_identical_to_blade_product_loop(pq, sizes, real, array, array_products):
     # the reference sums each coefficient in the product's own order, so both
-    # paths must match its terms bit for bit, signed zeros and dict order included
+    # paths must match its terms bit for bit, signed zeros and dict order
+    # included, on ten seeded draws per case
     space = real_space(*pq)
     rng = np.random.default_rng(sum(pq) + sizes[0])
-    x, y = (dense_element(rng, space, n, real) for n in sizes)
-    want = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            m, sign = blade_product(ma, mb, space)
-            contrib = ca * cb if sign == 1 else -(ca * cb)
-            want[m] = want[m] + contrib if m in want else contrib
-    want = CliffordElement(space, want).terms
-    if real:
-        assert {math.copysign(1.0, c.imag) for c in want.values()} == {1.0, -1.0}
-    assert _bits((x * y).terms) == _bits(want)
-    assert array_products == ([sizes] if array else [])
+    for _ in range(10):
+        x, y = (dense_element(rng, space, n, real) for n in sizes)
+        want = {}
+        for ma, ca in x.terms.items():
+            for mb, cb in y.terms.items():
+                m, sign = blade_product(ma, mb, space)
+                contrib = ca * cb if sign == 1 else -(ca * cb)
+                want[m] = want[m] + contrib if m in want else contrib
+        want = CliffordElement(space, want).terms
+        if real:
+            assert {math.copysign(1.0, c.imag) for c in want.values()} == {1.0, -1.0}
+        assert _bits((x * y).terms) == _bits(want)
+    assert array_products == ([sizes] * 10 if array else [])
 
 
 def test_mul_dispatch_reads_term_counts_and_dim(array_products):

@@ -140,15 +140,13 @@ def test_lift_round_trip(pq):
 
 def test_project_at_4_4_takes_the_array_product(array_products):
     # criterion 2 at (4, 4): each of project's 8 conjugations multiplies 128 x 128
-    # terms, which takes the array path; lift's reflection products stay under
-    # 1024 term pairs and on the loop
+    # terms, which takes the array path
     rng = np.random.default_rng(144)
     for _ in range(3):
         x = lift(random_isometry(real_space(4, 4), rng))
-        assert array_products == []
+        del array_products[:]
         project(x)
         assert array_products == [(128, 128)] * 8
-        del array_products[:]
 
 
 def test_lift_terminal_identity_check():
