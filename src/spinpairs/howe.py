@@ -7,13 +7,12 @@ reps, and certifies a Howe correspondence by the double-commutant criterion
     Comm <G~> = <G~'>   (both directions)
 
 together with commutativity of the joint commutant, whose dimension counts
-the isotypic blocks of the multiplicity-free decomposition.  The joint
-commutant is solved inside Comm <G~>: the constraints of G~' act on the
-coordinates of its basis, so those of G~ are solved once.  Each algebra
-<G~> is an incremental span closure: every round multiplies only the rows
-the last round added, one generator at a time, and orthogonalizes the
-products against the basis so far, so no SVD sees more rows than that
-frontier.
+the isotypic blocks of the multiplicity-free decomposition.  A commutant
+cuts a running basis by one operator's commutators at a time, from End(S)
+or, for the joint commutant, from Comm <G~>, so G~'s constraints are solved
+once.  <G~'> lies in Comm <G~> iff the two sides' generators commute, and
+then equal dimensions make them equal, so no span is compared.  Each algebra
+<G~> is an incremental span closure multiplying only its last round's rows.
 
 A family whose row in ``families.FAMILIES`` puts the howe stage out of scope
 (the orthogonal pairs) is refused through its spec; ``howe_check`` and
@@ -445,15 +444,21 @@ def transfer_invariants(inv: InvariantSpace, sp: SpinorSpace) -> List[np.ndarray
     return [gamma_tilde(sp, chevalley_T(w)) for w in inv.elements()]
 
 
-def commutant(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
-    """Orthonormal basis of {X : [X, op] = 0 for all ops} inside End(S).
+def commutant(ops: Sequence[np.ndarray], dim: int,
+              within: Optional[Sequence[np.ndarray]] = None) -> List[np.ndarray]:
+    """Orthonormal basis of the X in span(within), End(S) by default, with [X, op] = 0.
 
-    Row-major vectorization: vec(X o) = (I kron o^T) vec(X) and
-    vec(o X) = (o kron I) vec(X).
+    Each op cuts the running orthonormal basis B, ``within`` if given, to the
+    c B with [c B, op] = 0; only the first op of an End(S) solve sees dim S^2 columns.
     """
-    eye = np.eye(dim)
-    constraints = (np.kron(eye, o.T) - np.kron(o, eye) for o in map(np.asarray, ops))
-    return [v.reshape(dim, dim) for v in joint_nullspace(constraints, dim * dim)]
+    basis = (np.eye(dim * dim, dtype=complex) if within is None
+             else np.asarray(within, dtype=complex).reshape(-1, dim * dim))
+    for o in map(np.asarray, ops):
+        if not len(basis):
+            break
+        X = basis.reshape(-1, dim, dim)
+        basis = nullspace((X @ o - o @ X).reshape(len(basis), dim * dim).T) @ basis
+    return list(basis.reshape(-1, dim, dim))
 
 
 def generated_algebra(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
@@ -490,13 +495,10 @@ def generated_algebra(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
     return list(basis.reshape(-1, dim, dim))
 
 
-def is_commutative(ops: Sequence[np.ndarray]) -> bool:
-    for i, a in enumerate(ops):
-        for b in ops[i + 1:]:
-            scale = max(1.0, np.abs(a).max() * np.abs(b).max())
-            if not np.allclose(a @ b, b @ a, atol=COMMUTATIVITY_TOL * scale):
-                return False
-    return True
+def commuting(pairs: Iterable[Tuple[np.ndarray, np.ndarray]]) -> bool:
+    """a b ~ b a for all (a, b): allclose, atol COMMUTATIVITY_TOL * max(1, max|a| max|b|)."""
+    return all(np.allclose(a @ b, b @ a, atol=COMMUTATIVITY_TOL
+                           * max(1.0, np.abs(a).max() * np.abs(b).max())) for a, b in pairs)
 
 
 @dataclass
@@ -540,17 +542,15 @@ def howe_check(spec: DualPairSpec) -> HoweReport:
     cpx = complexify(spec)
     sp = build_spinors(cpx.space_c)
     dim = sp.dim_s
-    ops_G = side_operators(spec, sp, cpx, "G")
-    ops_Gp = side_operators(spec, sp, cpx, "Gp")
+    ops_G, ops_Gp = (side_operators(spec, sp, cpx, side) for side in ("G", "Gp"))
     alg_G = generated_algebra(ops_G, dim)
     alg_Gp = generated_algebra(ops_Gp, dim)
     comm_G = commutant(ops_G, dim)
     comm_Gp = commutant(ops_Gp, dim)
-    equal = subspace_equal(comm_G, alg_Gp) and subspace_equal(comm_Gp, alg_G)
-    # the joint commutant inside Comm<G~>: the constraints of G~' on comm_G's coordinates
-    coords = joint_nullspace((np.stack([(X @ o - o @ X).ravel() for X in comm_G], axis=1)
-                              for o in ops_Gp), len(comm_G))
-    joint = [v.reshape(dim, dim) for v in coords @ np.array([X.ravel() for X in comm_G])]
+    # <G~'> lies in Comm<G~> iff the generators commute, so equal dimensions suffice
+    equal = (len(comm_G) == len(alg_Gp) and len(comm_Gp) == len(alg_G)
+             and commuting(itertools.product(ops_G, ops_Gp)))
+    joint = commutant(ops_Gp, dim, within=comm_G)
     return HoweReport(
         pair=f"{spec.G.name} x {spec.Gp.name}",
         dim_s=dim,
@@ -559,6 +559,6 @@ def howe_check(spec: DualPairSpec) -> HoweReport:
         dim_algebra=len(alg_Gp),
         dim_algebra_other=len(alg_G),
         equal=equal,
-        mult_free=is_commutative(joint),
+        mult_free=commuting(itertools.combinations(joint, 2)),
         isotypic_count=len(joint),
     )

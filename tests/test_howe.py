@@ -1,6 +1,7 @@
 """Invariants, generator theorems, transfer, and the double-commutant checks."""
 
 import ast
+import itertools
 import json
 from pathlib import Path
 
@@ -14,10 +15,10 @@ from spinpairs.clifford import ExteriorElement, complex_space, exterior_vector
 from spinpairs.families import build_pair, normalize_params
 from spinpairs.groups import UnsupportedFamilyError, complexify
 from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_of_degree,
-                            commutant,
+                            commutant, commuting,
                             exterior_derivation_matrix, exterior_group_matrix,
                             generated_algebra, howe_check, invariant_space, invariants,
-                            is_commutative, nullspace, orthonormal_rows, side_operators,
+                            nullspace, orthonormal_rows, side_operators,
                             subspace_equal, transfer_invariants, verify_generation)
 from spinpairs.pin import lift
 from spinpairs.spinor import build_spinors, pi_rep
@@ -378,15 +379,24 @@ def test_commutant_of_non_transpose_closed_generator():
 
 def test_commutant_never_stacks_constraints(monkeypatch):
     # one d^2-row constraint per SVD, restricted to the running kernel, and no
-    # tall SVD builds a full U factor
+    # tall SVD builds a full U factor; only the first solve of an End(S)
+    # commutant sees d^2 columns, and a solve inside a given span none
     calls = []
     svd = np.linalg.svd
+    solved = []
+    solve = howe.nullspace
 
     def spy(a, *args, **kwargs):
         calls.append((np.shape(a), kwargs.get("full_matrices", True)))
         return svd(a, *args, **kwargs)
 
+    def nullspace_spy(A):
+        K = solve(A)
+        solved.append((np.shape(A)[1], len(K)))
+        return K
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(howe, "nullspace", nullspace_spy)
     spn = build_spinors(complex_space(4))
     d = spn.dim_s
     assert len(commutant(spn.gammas, d)) == 1
@@ -394,6 +404,18 @@ def test_commutant_never_stacks_constraints(monkeypatch):
     for (*_, rows, cols), full in calls:
         assert rows <= d * d
         assert not (full and rows > cols)
+    assert len(solved) > 1 and solved[0][0] == d * d
+    for (_, kernel), (cols, _) in zip(solved, solved[1:]):
+        assert cols <= kernel < d * d
+    within = commutant(spn.gammas[:2], d)
+    solved.clear()
+    assert len(commutant(spn.gammas[2:], d, within=within)) == 1
+    assert solved and all(cols < d * d for cols, _ in solved)
+    assert solved[0][0] == len(within)
+    # gamma_1 anticommutes with gamma_0: the basis empties, and no later op is solved
+    solved.clear()
+    g1 = spn.gammas[1] / np.linalg.norm(spn.gammas[1])
+    assert commutant(spn.gammas, d, within=[g1]) == [] and len(solved) == 1
 
 
 def test_rank_decisions_only_in_howe():
@@ -539,6 +561,62 @@ def test_howe_correspondence(family, params):
     assert rep.dim_commutant_other == rep.dim_algebra_other
 
 
+def _span_oracle(spec):
+    """The span criterion ``equal`` replaced, rank plus containment both ways,
+    and the joint commutant solved in End(S) from both sides' operators."""
+    cpx = complexify(spec)
+    spn = build_spinors(cpx.space_c)
+    d = spn.dim_s
+    ops_G, ops_Gp = (howe.side_operators(spec, spn, cpx, side) for side in ("G", "Gp"))
+    equal = (subspace_equal(commutant(ops_G, d), generated_algebra(ops_Gp, d))
+             and subspace_equal(commutant(ops_Gp, d), generated_algebra(ops_G, d)))
+    return equal, len(commutant(ops_G + ops_Gp, d))
+
+
+def _conjugated(ops, d):
+    """ops in a fixed unitary change of basis, from a seeded QR."""
+    q, _ = np.linalg.qr(np.random.default_rng(23).normal(size=(d, 2 * d)).view(complex))
+    return [q @ o @ q.conj().T for o in ops]
+
+
+# each fault's record (dim_s, dim_commutant, dim_commutant_other, dim_algebra,
+# dim_algebra_other, equal, mult_free, isotypic_count) as the span criterion gave it
+NEGATIVE_CONTROLS = {
+    "G keeps every other generator": (
+        "GL_R", (2, 2), lambda ops, sp, side: ops[::2] if side == "G" else ops,
+        (16, 46, 20, 20, 6, False, True, 6)),
+    # dimensions agree, only the commutation clause can fail
+    "G' conjugated by a unitary": (
+        "GL_R", (2, 2), lambda ops, sp, side: ops if side == "G" else _conjugated(ops, sp.dim_s),
+        (16, 20, 20, 20, 20, False, True, 1)),
+    "G' plus gamma(e_0)": (
+        "GL_R", (2, 2), lambda ops, sp, side: ops if side == "G" else ops + [sp.gammas[0]],
+        (16, 20, 3, 96, 20, False, True, 1)),
+    "both sides empty": (
+        "GL_R", (1, 1), lambda ops, sp, side: [],
+        (2, 4, 4, 1, 1, False, False, 4)),
+    # <G~> is the upper triangular algebra, not semisimple, so its double commutant
+    # is all of End(S): <G~'> = Comm<G~> holds and only the second dimension clause fails
+    "G upper triangular, G' the identity": (
+        "GL_R", (1, 1), lambda ops, sp, side: (
+            [np.triu(np.ones((2, 2))), np.diag([0.0, 1.0])] if side == "G" else [np.eye(2)]),
+        (2, 1, 4, 1, 3, False, True, 1)),
+}
+
+
+@pytest.mark.parametrize("fault", NEGATIVE_CONTROLS)
+def test_negative_controls(fault, monkeypatch):
+    family, params, alter, record = NEGATIVE_CONTROLS[fault]
+    sides = howe.side_operators
+    monkeypatch.setattr(howe, "side_operators",
+                        lambda spec, sp, cpx, side: alter(sides(spec, sp, cpx, side), sp, side))
+    spec = build_pair(family, params)
+    rep = howe_check(spec)
+    assert (rep.dim_s, rep.dim_commutant, rep.dim_commutant_other, rep.dim_algebra,
+            rep.dim_algebra_other, rep.equal, rep.mult_free, rep.isotypic_count) == record
+    assert (rep.equal, rep.isotypic_count) == _span_oracle(spec)
+
+
 def _full_stack_closure(ops, dim):
     """Oracle: each round stacks the basis and every op times every basis row
     and takes one SVD of the whole stack, until the rank stops growing."""
@@ -564,6 +642,14 @@ def _side_operator_sets(family, params):
 _HOWE_TABLE_ROWS = [(fam, normalize_params(fam, json.loads(pkey)))
                     for (fam, pkey), row in load_expected_table().items()
                     if row["howe"] is not None]
+
+
+@pytest.mark.parametrize("family,params",
+                         HOWE_PAIRS + [r for r in _HOWE_TABLE_ROWS if r not in HOWE_PAIRS])
+def test_equal_matches_the_span_oracle(family, params):
+    spec = build_pair(family, params)
+    rep = howe_check(spec)
+    assert (rep.equal, rep.isotypic_count) == _span_oracle(spec)
 
 
 @pytest.mark.parametrize("family,params",
@@ -641,26 +727,31 @@ def test_joint_commutant_is_solved_inside_comm_G(family, params, monkeypatch):
     solve = howe.commutant
     calls = []
 
-    def spy(ops, dim):
-        calls.append(ops)
-        return solve(ops, dim)
+    def spy(ops, dim, within=None):
+        calls.append((ops, within))
+        return solve(ops, dim, within)
 
     monkeypatch.setattr(howe, "commutant", spy)
     rep = howe_check(spec)
     cpx = complexify(spec)
     spn = build_spinors(cpx.space_c)
+    d = spn.dim_s
     sides = [side_operators(spec, spn, cpx, side) for side in ("G", "Gp")]
-    assert len(calls) == 2
-    for got, want in zip(calls, sides):
+    assert len(calls) == 3
+    for (got, _), want in zip(calls, sides + sides[1:]):
         assert len(got) == len(want) and all(np.allclose(a, b) for a, b in zip(got, want))
-    joint = solve(sides[0] + sides[1], spn.dim_s)
+    assert calls[0][1] is None and calls[1][1] is None
+    comm_G = solve(sides[0], d)
+    assert len(calls[2][1]) == len(comm_G) and subspace_equal(calls[2][1], comm_G)
+    joint = solve(sides[0] + sides[1], d)
     assert rep.isotypic_count == len(joint)
-    assert rep.mult_free == is_commutative(joint)
+    assert rep.mult_free == commuting(itertools.combinations(joint, 2))
 
 
 def test_joint_commutant_commutativity_detection():
-    assert is_commutative([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
-    assert not is_commutative([np.array([[0.0, 1], [0, 0]]), np.array([[0.0, 0], [1, 0]])])
+    assert commuting(itertools.combinations([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])], 2))
+    assert not commuting([(np.array([[0.0, 1], [0, 0]]), np.array([[0.0, 0], [1, 0]]))])
+    assert commuting([])
 
 
 def test_unknown_side_name_rejected():
