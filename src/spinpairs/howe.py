@@ -1,18 +1,23 @@
 """Duality for the spinorial representation, made executable.
 
-``howe_check`` complexifies the ambient space, generates <G~> and <G~'> on
-the spinors from dPi of the Lie generators and Pi of the lifted component
-reps, and certifies a Howe correspondence by the double-commutant criterion
+``howe_check`` complexifies the ambient space, generates A = <G~> and
+A' = <G~'> on the spinors from dPi of the Lie generators and Pi of the lifted
+component reps, and certifies a Howe correspondence by the double-commutant
+criterion
 
     Comm <G~> = <G~'>   (both directions)
 
-together with commutativity of the joint commutant, whose dimension counts
-the isotypic blocks of the multiplicity-free decomposition.  A commutant
-cuts a running basis by one operator's commutators at a time, from End(S)
-or, for the joint commutant, from Comm <G~>, so G~'s constraints are solved
-once.  <G~'> lies in Comm <G~> iff the two sides' generators commute, and
-then equal dimensions make them equal, so no span is compared.  Each algebra
-<G~> is an incremental span closure multiplying only its last round's rows.
+without solving a commutant in End(S).  ``blocks`` reads the Wedderburn
+block sizes (n_i, m_i) of each algebra, S = (+) V_i (x) C^{m_i}, from the
+central idempotents of its centre, solved inside the algebra, and gates the
+closure, the semisimplicity (the trace form), the eigenvalue gap and the
+integer traces on the way; dim Comm A = sum m_i^2.  A' lies in Comm A iff the
+two sides' generators commute, and then equal dimensions make them equal.
+A certified pair's joint commutant is then the common centre A cap A', whose
+dimension counts the isotypic blocks of the multiplicity-free decomposition;
+an uncertified pair gets the joint commutant solved in End(S) as a
+diagnostic.  Each algebra is an incremental span closure multiplying only
+its last round's rows.
 
 A family whose row in ``families.FAMILIES`` puts the howe stage out of scope
 (the orthogonal pairs) is refused through its spec; ``howe_check`` and
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,6 +52,8 @@ from .spinor import SpinorSpace, build_spinors, d_pi, gamma_tilde, pi_rep
 
 RANK_TOL = 1e-8
 COMMUTATIVITY_TOL = 1e-7
+CENTRE_GAP = 1e-3
+INTEGER_TOL = 1e-6
 HOWE_DIM_CAP = 12
 
 
@@ -501,6 +509,81 @@ def commuting(pairs: Iterable[Tuple[np.ndarray, np.ndarray]]) -> bool:
                            * max(1.0, np.abs(a).max() * np.abs(b).max())) for a, b in pairs)
 
 
+def _seeded_complex(rng: random.Random, n: int) -> np.ndarray:
+    # the standard library's generator: numpy.random would add its import to the CLI
+    return np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n)])
+
+
+def blocks(alg: Sequence[np.ndarray], ops: Sequence[np.ndarray],
+           dim: int) -> Tuple[List[Tuple[int, int]], List[np.ndarray]]:
+    """Wedderburn block sizes [(n_i, m_i)] of the algebra A = span(alg) that ops
+    generate, and an orthonormal basis of its centre.
+
+    A semisimple A splits S as (+) V_i (x) C^{m_i} with n_i = dim V_i, so that
+    dim A = sum n_i^2 and dim Comm A = sum m_i^2.  Each step is gated on the
+    orthonormal basis {a_j} of k rows, and a failed gate raises RuntimeError:
+
+    0. closure: I and o a_j lie in span{a_j} within RANK_TOL times the largest
+       product norm, o one seeded combination of ops;
+    1. semisimplicity: the trace form tr(a_j a_l) has rank k (Dickson's criterion);
+    2. the centre Z = A cap Comm(ops), solved inside A;
+    3. the central idempotents e_i, Lagrange polynomials in a seeded z in Z at
+       the eigenvalues of its multiplication on Z, which lie CENTRE_GAP apart
+       relative to the largest;
+    4. r_i = tr e_i = n_i m_i and n_i^2 = tr(e_i sum_j a_j a_j^H), the trace of
+       a -> e_i a on A, round to integers within INTEGER_TOL, n_i^2 is a square,
+       n_i divides r_i, sum n_i^2 = k and sum r_i = dim S.
+    """
+    rng = random.Random(0)
+    B = np.asarray(alg, dtype=complex).reshape(-1, dim * dim)
+    k = len(B)
+    B3 = B.reshape(k, dim, dim)
+    eye = np.eye(dim).ravel()
+    o = sum((c * np.asarray(op) for c, op in zip(_seeded_complex(rng, len(ops)), ops)),
+            np.zeros((dim, dim)))
+    prods = np.concatenate([eye[None], (o @ B3).reshape(k, -1)])
+    scale = max(1.0, np.linalg.norm(prods, axis=1).max())
+    resid = np.linalg.norm(prods - (prods @ B.conj().T) @ B, axis=1).max()
+    if resid > RANK_TOL * scale:
+        raise RuntimeError(f"span(alg) is not closed under its generators: "
+                           f"residual {resid:.1e} at scale {scale:.1e}")
+    trace_form = B @ B3.transpose(0, 2, 1).reshape(k, -1).T
+    rank = _rank(np.linalg.svd(trace_form, compute_uv=False))
+    if rank < k:
+        raise RuntimeError(f"the algebra is not semisimple: its trace form has rank {rank} < {k}")
+    centre = commutant(ops, dim, within=B)
+    Z = np.asarray(centre).reshape(-1, dim * dim)
+    b = len(Z)
+    z = (_seeded_complex(rng, b) @ Z).reshape(dim, dim)
+    # z z_l = sum_m mult[m, l] z_m
+    mult = ((z @ Z.reshape(b, dim, dim)).reshape(b, -1) @ Z.conj().T).T
+    lam = np.linalg.eigvals(mult)
+    if b > 1:
+        gap = min(abs(x - y) for x, y in itertools.combinations(lam, 2)) / np.abs(lam).max()
+        if gap < CENTRE_GAP:
+            raise RuntimeError(f"central eigenvalues {gap:.1e} apart, below {CENTRE_GAP}")
+    # coordinates of e_i on Z, applied to those of I
+    unit = Z.conj() @ eye
+    idem = np.empty((b, b), dtype=complex)
+    for i in range(b):
+        x = unit
+        for l in range(b):
+            if l != i:
+                x = (mult @ x - lam[l] * x) / (lam[i] - lam[l])
+        idem[i] = x
+    gram = np.tensordot(B3, B3.conj(), axes=([0, 2], [0, 2]))
+    traces = idem @ (Z @ np.stack([eye, gram.T.ravel()], axis=1))
+    whole = np.rint(traces.real)
+    off = np.abs(traces - whole).max(initial=0.0)
+    r, nsq = whole.astype(int).T
+    n = np.rint(np.sqrt(np.maximum(nsq, 0))).astype(int)
+    if (off > INTEGER_TOL or (n < 1).any() or (n * n != nsq).any() or (r % n).any()
+            or nsq.sum() != k or r.sum() != dim):
+        raise RuntimeError(f"no Wedderburn block sizes: tr e_i = {r.tolist()}, "
+                           f"n_i^2 = {nsq.tolist()}, rounding residual {off:.1e}")
+    return [(int(ni), int(ri // ni)) for ni, ri in zip(n, r)], centre
+
+
 @dataclass
 class HoweReport:
     """The double-commutant record under the report's keys: ``dim_commutant`` is
@@ -532,9 +615,11 @@ def side_operators(spec: DualPairSpec, sp: SpinorSpace, cpx: ComplexifiedPair,
 def howe_check(spec: DualPairSpec) -> HoweReport:
     """Double-commutant certificate for the spinorial representation.
 
-    Verifies Comm<G~> = <G~'> in both directions and that the joint commutant
-    is commutative, reporting its dimension as the isotypic count.  A family
-    whose howe stage is out of scope raises UnsupportedFamilyError.
+    Verifies Comm<G~> = <G~'> in both directions from the block sizes of the
+    two algebras and that the joint commutant is commutative, reporting its
+    dimension as the isotypic count.  A family whose howe stage is out of scope
+    raises UnsupportedFamilyError; an algebra that fails a gate of ``blocks``,
+    a non-semisimple one among them, raises RuntimeError.
     """
     spec.refuse_skipped("howe")
     if spec.space.dim > HOWE_DIM_CAP:
@@ -545,17 +630,26 @@ def howe_check(spec: DualPairSpec) -> HoweReport:
     ops_G, ops_Gp = (side_operators(spec, sp, cpx, side) for side in ("G", "Gp"))
     alg_G = generated_algebra(ops_G, dim)
     alg_Gp = generated_algebra(ops_Gp, dim)
-    comm_G = commutant(ops_G, dim)
-    comm_Gp = commutant(ops_Gp, dim)
+    blocks_G, centre_G = blocks(alg_G, ops_G, dim)
+    blocks_Gp, centre_Gp = blocks(alg_Gp, ops_Gp, dim)
+    dim_comm_G = sum(m * m for _, m in blocks_G)
+    dim_comm_Gp = sum(m * m for _, m in blocks_Gp)
     # <G~'> lies in Comm<G~> iff the generators commute, so equal dimensions suffice
-    equal = (len(comm_G) == len(alg_Gp) and len(comm_Gp) == len(alg_G)
+    equal = (dim_comm_G == len(alg_Gp) and dim_comm_Gp == len(alg_G)
              and commuting(itertools.product(ops_G, ops_Gp)))
-    joint = commutant(ops_Gp, dim, within=comm_G)
+    if equal:
+        # Comm<G~> = <G~'> and Comm<G~'> = <G~>: the joint commutant is their common centre
+        if len(centre_G) != len(centre_Gp):
+            raise RuntimeError(f"the two centres differ: dimensions {len(centre_G)} "
+                               f"and {len(centre_Gp)}")
+        joint = centre_Gp
+    else:
+        joint = commutant(ops_G + ops_Gp, dim)
     return HoweReport(
         pair=f"{spec.G.name} x {spec.Gp.name}",
         dim_s=dim,
-        dim_commutant=len(comm_G),
-        dim_commutant_other=len(comm_Gp),
+        dim_commutant=dim_comm_G,
+        dim_commutant_other=dim_comm_Gp,
         dim_algebra=len(alg_Gp),
         dim_algebra_other=len(alg_G),
         equal=equal,

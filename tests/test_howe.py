@@ -562,15 +562,24 @@ def test_howe_correspondence(family, params):
 
 
 def _span_oracle(spec):
-    """The span criterion ``equal`` replaced, rank plus containment both ways,
-    and the joint commutant solved in End(S) from both sides' operators."""
+    """The double commutant in End(S), the route the block sizes replaced: the
+    8-field record with the span criterion for ``equal`` (rank plus containment
+    both ways) and the joint commutant solved in End(S) from both sides' operators."""
     cpx = complexify(spec)
     spn = build_spinors(cpx.space_c)
     d = spn.dim_s
     ops_G, ops_Gp = (howe.side_operators(spec, spn, cpx, side) for side in ("G", "Gp"))
-    equal = (subspace_equal(commutant(ops_G, d), generated_algebra(ops_Gp, d))
-             and subspace_equal(commutant(ops_Gp, d), generated_algebra(ops_G, d)))
-    return equal, len(commutant(ops_G + ops_Gp, d))
+    comm_G, comm_Gp = commutant(ops_G, d), commutant(ops_Gp, d)
+    alg_G, alg_Gp = generated_algebra(ops_G, d), generated_algebra(ops_Gp, d)
+    joint = commutant(ops_G + ops_Gp, d)
+    return (d, len(comm_G), len(comm_Gp), len(alg_Gp), len(alg_G),
+            subspace_equal(comm_G, alg_Gp) and subspace_equal(comm_Gp, alg_G),
+            commuting(itertools.combinations(joint, 2)), len(joint))
+
+
+def _record(rep):
+    return (rep.dim_s, rep.dim_commutant, rep.dim_commutant_other, rep.dim_algebra,
+            rep.dim_algebra_other, rep.equal, rep.mult_free, rep.isotypic_count)
 
 
 def _conjugated(ops, d):
@@ -580,41 +589,123 @@ def _conjugated(ops, d):
 
 
 # each fault's record (dim_s, dim_commutant, dim_commutant_other, dim_algebra,
-# dim_algebra_other, equal, mult_free, isotypic_count) as the span criterion gave it
+# dim_algebra_other, equal, mult_free, isotypic_count) as the double commutant
+# gives it, and whether <G~> and <G~'> are semisimple; howe_check gives the same
+# record or refuses a non-semisimple algebra at its trace form
 NEGATIVE_CONTROLS = {
     "G keeps every other generator": (
         "GL_R", (2, 2), lambda ops, sp, side: ops[::2] if side == "G" else ops,
-        (16, 46, 20, 20, 6, False, True, 6)),
+        (16, 46, 20, 20, 6, False, True, 6), False),
     # dimensions agree, only the commutation clause can fail
     "G' conjugated by a unitary": (
         "GL_R", (2, 2), lambda ops, sp, side: ops if side == "G" else _conjugated(ops, sp.dim_s),
-        (16, 20, 20, 20, 20, False, True, 1)),
+        (16, 20, 20, 20, 20, False, True, 1), True),
     "G' plus gamma(e_0)": (
         "GL_R", (2, 2), lambda ops, sp, side: ops if side == "G" else ops + [sp.gammas[0]],
-        (16, 20, 3, 96, 20, False, True, 1)),
+        (16, 20, 3, 96, 20, False, True, 1), True),
     "both sides empty": (
         "GL_R", (1, 1), lambda ops, sp, side: [],
-        (2, 4, 4, 1, 1, False, False, 4)),
-    # <G~> is the upper triangular algebra, not semisimple, so its double commutant
-    # is all of End(S): <G~'> = Comm<G~> holds and only the second dimension clause fails
+        (2, 4, 4, 1, 1, False, False, 4), True),
+    # the upper triangular algebra is not its own double commutant: <G~'> = Comm<G~>
+    # holds and only the second dimension clause fails
     "G upper triangular, G' the identity": (
         "GL_R", (1, 1), lambda ops, sp, side: (
             [np.triu(np.ones((2, 2))), np.diag([0.0, 1.0])] if side == "G" else [np.eye(2)]),
-        (2, 1, 4, 1, 3, False, True, 1)),
+        (2, 1, 4, 1, 3, False, True, 1), False),
+    # span{I, N} is its own commutant, so the double commutant certifies the
+    # indecomposable S as a multiplicity-free sum of two blocks
+    "G and G' the Jordan block": (
+        "GL_R", (1, 1), lambda ops, sp, side: [np.array([[0.0, 1.0], [0.0, 0.0]])],
+        (2, 2, 2, 2, 2, True, True, 2), False),
 }
 
 
 @pytest.mark.parametrize("fault", NEGATIVE_CONTROLS)
 def test_negative_controls(fault, monkeypatch):
-    family, params, alter, record = NEGATIVE_CONTROLS[fault]
+    family, params, alter, record, semisimple = NEGATIVE_CONTROLS[fault]
     sides = howe.side_operators
     monkeypatch.setattr(howe, "side_operators",
                         lambda spec, sp, cpx, side: alter(sides(spec, sp, cpx, side), sp, side))
     spec = build_pair(family, params)
-    rep = howe_check(spec)
-    assert (rep.dim_s, rep.dim_commutant, rep.dim_commutant_other, rep.dim_algebra,
-            rep.dim_algebra_other, rep.equal, rep.mult_free, rep.isotypic_count) == record
-    assert (rep.equal, rep.isotypic_count) == _span_oracle(spec)
+    if semisimple:
+        assert _record(howe_check(spec)) == record
+    else:
+        with pytest.raises(RuntimeError, match="not semisimple"):
+            howe_check(spec)
+    assert _span_oracle(spec) == record
+
+
+@pytest.mark.parametrize("family,params", [("GL_R", (2, 2)), ("U", ((1, 1), (1, 0))),
+                                           ("Sp_R", (1, 1)), ("Sp_C_real", (1, 1))])
+@pytest.mark.parametrize("drop", [0, 2, -1])
+def test_blocks_refuse_a_basis_missing_a_row(family, params, drop, monkeypatch):
+    closure = howe.generated_algebra
+
+    def short(ops, dim):
+        alg = closure(ops, dim)
+        del alg[drop]
+        return alg
+
+    monkeypatch.setattr(howe, "generated_algebra", short)
+    with pytest.raises(RuntimeError, match="not closed"):
+        howe_check(build_pair(family, params))
+
+
+def test_certificate_refuses_centres_of_different_dimensions(monkeypatch):
+    # a certified pair's two centres are both A cap A'; one row short must raise
+    read = howe.blocks
+    sides = []
+
+    def short(alg, ops, dim):
+        found, centre = read(alg, ops, dim)
+        sides.append(ops)
+        return found, centre[:-1] if len(sides) == 2 else centre
+
+    monkeypatch.setattr(howe, "blocks", short)
+    with pytest.raises(RuntimeError, match="centres differ"):
+        howe_check(build_pair("GL_R", (2, 2)))
+
+
+def _block_operators(sizes, seed):
+    """Two random operators of (+) End(C^n) (x) I_m over the (n, m) of sizes,
+    under a fixed non-unitary change of basis, so their algebra is not closed
+    under adjoints."""
+    rng = np.random.default_rng(seed)
+    dim = sum(n * m for n, m in sizes)
+    p = rng.normal(size=(dim, dim)) + dim * np.eye(dim)
+    ops = []
+    for _ in range(2):
+        o = np.zeros((dim, dim))
+        at = 0
+        for n, m in sizes:
+            o[at:at + n * m, at:at + n * m] = np.kron(rng.normal(size=(n, n)), np.eye(m))
+            at += n * m
+        ops.append(p @ o @ np.linalg.inv(p))
+    return ops, dim
+
+
+@pytest.mark.parametrize("sizes", [[(2, 3), (1, 2)], [(1, 1), (1, 1), (3, 1)], [(2, 2)]])
+def test_blocks_read_a_known_decomposition(sizes):
+    ops, dim = _block_operators(sizes, 4)
+    alg = generated_algebra(ops, dim)
+    found, centre = howe.blocks(alg, ops, dim)
+    assert sorted(found) == sorted(sizes)
+    assert len(alg) == sum(n * n for n, _ in sizes)
+    assert len(commutant(ops, dim)) == sum(m * m for _, m in sizes)
+    assert len(centre) == len(sizes) and commuting(itertools.product(centre, ops))
+
+
+def test_blocks_gate_the_centre_gap_and_the_integer_traces(monkeypatch):
+    ops, dim = _block_operators([(2, 3), (1, 2)], 4)
+    alg = generated_algebra(ops, dim)
+    monkeypatch.setattr(howe, "CENTRE_GAP", 2.0)
+    with pytest.raises(RuntimeError, match="apart"):
+        howe.blocks(alg, ops, dim)
+    monkeypatch.undo()
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * 1.01)
+    with pytest.raises(RuntimeError, match="no Wedderburn block sizes"):
+        howe.blocks(alg, ops, dim)
 
 
 def _full_stack_closure(ops, dim):
@@ -648,8 +739,7 @@ _HOWE_TABLE_ROWS = [(fam, normalize_params(fam, json.loads(pkey)))
                          HOWE_PAIRS + [r for r in _HOWE_TABLE_ROWS if r not in HOWE_PAIRS])
 def test_equal_matches_the_span_oracle(family, params):
     spec = build_pair(family, params)
-    rep = howe_check(spec)
-    assert (rep.equal, rep.isotypic_count) == _span_oracle(spec)
+    assert _record(howe_check(spec)) == _span_oracle(spec)
 
 
 @pytest.mark.parametrize("family,params",
@@ -721,28 +811,36 @@ def test_howe_scope_guards():
 @pytest.mark.parametrize("family,params", [
     ("GL_R", (2, 1)), ("U", ((1, 1), (1, 1))), ("Sp_H", ((1, 1), (1, 0))), ("Sp_R", (1, 2))])
 def test_joint_commutant_is_solved_inside_comm_G(family, params, monkeypatch):
-    # G's constraints are solved once: one commutant per side, and the joint
-    # commutant restricts Comm<G~> by the constraints of G~'
+    # a certified pair makes two commutant solves, the centre of each side's
+    # algebra inside that algebra; the joint commutant is the centre of
+    # <G~'> = Comm<G~>, and no solve sees the dim S^2 columns of End(S)
     spec = build_pair(family, params)
-    solve = howe.commutant
-    calls = []
+    solve, kernel = howe.commutant, howe.nullspace
+    calls, widths = [], []
 
     def spy(ops, dim, within=None):
         calls.append((ops, within))
         return solve(ops, dim, within)
 
+    def nullspace_spy(A):
+        widths.append(np.shape(A)[1])
+        return kernel(A)
+
     monkeypatch.setattr(howe, "commutant", spy)
+    monkeypatch.setattr(howe, "nullspace", nullspace_spy)
     rep = howe_check(spec)
+    monkeypatch.undo()
     cpx = complexify(spec)
     spn = build_spinors(cpx.space_c)
     d = spn.dim_s
+    assert rep.equal
+    assert widths and max(widths) < d * d
     sides = [side_operators(spec, spn, cpx, side) for side in ("G", "Gp")]
-    assert len(calls) == 3
-    for (got, _), want in zip(calls, sides + sides[1:]):
+    assert len(calls) == 2
+    for (got, within), want in zip(calls, sides):
         assert len(got) == len(want) and all(np.allclose(a, b) for a, b in zip(got, want))
-    assert calls[0][1] is None and calls[1][1] is None
-    comm_G = solve(sides[0], d)
-    assert len(calls[2][1]) == len(comm_G) and subspace_equal(calls[2][1], comm_G)
+        alg = generated_algebra(want, d)
+        assert len(within) == len(alg) and subspace_equal(within, alg)
     joint = solve(sides[0] + sides[1], d)
     assert rep.isotypic_count == len(joint)
     assert rep.mult_free == commuting(itertools.combinations(joint, 2))
