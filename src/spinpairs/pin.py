@@ -32,9 +32,9 @@ PIVOT_TOL = 1e-8
 SKIP_TOL = 1e-10
 DEFAULT_PATH_STEPS = 256
 MAX_PATH_STEPS = 1 << 14
-# about 5 s of Clifford products on the dict loop at 0.2-0.3 us a term pair, which runs
-# every product above dim 16, or about 0.3-1.5 s on the array path at 0.02-0.09 us a
-# pair; the expected table needs 69,888 at most
+# term pairs of x y and y x together: about 12-14 s at the cap on the dict loop, which
+# runs every product above dim 16 (0.7-0.85 us a pair, measured at 2^23 on GL_R(5,6)
+# and GL_R(9,2)); the expected table needs 512 at most
 MAX_COMMUTATOR_TERM_PAIRS = 1 << 24
 
 
@@ -62,9 +62,6 @@ class PinElement:
         # x tau(x) = nu  =>  x^{-1} = nu tau(x)
         t = self.value.tau()
         return t if self.spinor_norm == 1 else -t
-
-    def inverse(self) -> "PinElement":
-        return PinElement(self.inverse_value(), self.parity, self.spinor_norm)
 
     def __mul__(self, other: "PinElement") -> "PinElement":
         return PinElement(self.value * other.value,
@@ -178,24 +175,13 @@ def lift(g: OrthogonalMap) -> PinElement:
 
 
 def commutator_sign(x: PinElement, y: PinElement) -> int:
-    """[x, y] = x y x^{-1} y^{-1}, which must be a central +-1."""
-    c = (x * y * x.inverse() * y.inverse()).value
-    s = _scalar_sign(c, COMMUTATOR_TOL)
-    if s is None:
-        raise NotPinError("commutator of Pin lifts is not +-1; not a dual pair candidate")
-    return s
-
-
-def _commutator_term_pairs(x: PinElement, y: PinElement) -> int:
-    """Upper bound on the term pairs of x y x^{-1} y^{-1}, multiplied left to right.
-
-    An inverse has as many terms as its element, and a product of
-    parity-homogeneous elements lives in one parity, on at most 2^(n-1) blades.
-    """
-    a, c = len(x.value.terms), len(y.value.terms)
-    half = 1 << (x.space.dim - 1)
-    t = min(a * c, half)
-    return a * c + t * a + min(t * a, half) * c
+    """The central sign s of [x, y] = x y x^{-1} y^{-1}, read off as x y = s y x."""
+    xy, yx = x.value * y.value, y.value * x.value
+    tol = COMMUTATOR_TOL * max(1.0, np.linalg.norm(list(xy.terms.values())))
+    for s in (1, -1):
+        if xy.distance(yx if s == 1 else -yx) <= tol:
+            return s
+    raise NotPinError("commutator of Pin lifts is not +-1; not a dual pair candidate")
 
 
 def commutator_pairing(spec: DualPairSpec) -> List[dict]:
@@ -217,12 +203,11 @@ def commutator_pairing(spec: DualPairSpec) -> List[dict]:
     pairs = [(gx, gy) for gx in side_lifts(spec.G) for gy in lifts_Gp]
     # every pair is bounded before the first product is taken
     for (nx, x), (ny, y) in pairs:
-        bound = _commutator_term_pairs(x, y)
-        if bound > MAX_COMMUTATOR_TERM_PAIRS:
+        a, c = len(x.value.terms), len(y.value.terms)
+        if 2 * a * c > MAX_COMMUTATOR_TERM_PAIRS:
             raise DimensionCapError(
-                f"commutator of {nx} and {ny}: lifts of {len(x.value.terms)} and "
-                f"{len(y.value.terms)} terms bound its products by {bound} term pairs, "
-                f"above the cap of {MAX_COMMUTATOR_TERM_PAIRS}")
+                f"commutator of {nx} and {ny}: lifts of {a} and {c} terms make x y and y x "
+                f"take {2 * a * c} term pairs, above the cap of {MAX_COMMUTATOR_TERM_PAIRS}")
     return [{"pair": [nx, ny], "sign": commutator_sign(x, y)} for (nx, x), (ny, y) in pairs]
 
 

@@ -1,6 +1,9 @@
 """CLI runner: reports, schema, determinism, expected-table gating."""
 
+import ast
+import functools
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -89,10 +92,10 @@ def test_cli_rejects_oversized_pairs():
 
 
 def test_cli_caps_the_commutator_cost():
-    # dim E 60 passes the build, but its lifted probes carry up to 4096 terms, and
-    # x y x^-1 y^-1 would take about 1.7e9 term pairs: rejected before any product
+    # dim E 54 passes the build, but its lifted probes carry 262,144 and 64 terms, and
+    # x y and y x would take 2^25 term pairs: rejected before any product
     start = time.perf_counter()
-    res = CliRunner().invoke(main, ["verify-commute", "--family", "GL_R", "--params", "5,6"])
+    res = CliRunner().invoke(main, ["verify-commute", "--family", "GL_R", "--params", "3,9"])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "term pairs, above the cap of 16777216" in res.output
     assert time.perf_counter() - start < 30.0
@@ -237,6 +240,43 @@ def test_table_report_matches_bench_reference():
     pairs = [(fam, json.loads(pkey)) for (fam, pkey) in load_expected_table()]
     text = json.dumps(run(RunConfig(pairs)), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def _bench_reads(tree: ast.AST):
+    """(module, name) for every package name a benchmark file imports or reads."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinpairs"):
+            for alias in node.names:
+                yield node.module, alias.name
+                if node.module == "spinpairs":
+                    aliases[alias.asname or alias.name] = f"spinpairs.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            yield aliases[node.value.id], node.attr
+
+
+def test_the_benchmark_reads_only_names_the_package_has():
+    # bench/ is frozen against the package: a rename would otherwise surface only
+    # as a KeyError when a traced run installs its wrappers
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    missing = []
+    for path in sorted(bench.glob("*.py")):
+        for module, name in _bench_reads(ast.parse(path.read_text())):
+            if not hasattr(importlib.import_module(module), name):
+                missing.append(f"{path.name}: {module}.{name}")
+    tracer = ast.parse((bench / "tracer.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS")
+    assert len(targets) > 20
+    for _, module, path in targets:
+        # the tracer reads the last part from its owner's own __dict__
+        *outer, attr = path.split(".")
+        owner = functools.reduce(getattr, outer, importlib.import_module(module))
+        if attr not in vars(owner):
+            missing.append(f"tracer.TARGETS: {module}.{path}")
+    assert missing == []
 
 
 def test_package_imports_no_scipy_and_depends_on_numpy_and_click():

@@ -9,14 +9,14 @@ import pytest
 
 from spinpairs import pin
 from spinpairs.clifford import (CliffordElement, QuadraticSpace, basis_vector, blade,
-                                exterior_vector, chevalley_T, real_space, scalar_element)
+                                exterior_vector, chevalley_T, from_vector, real_space,
+                                scalar_element)
 from spinpairs.cli import RunConfig, load_expected_table, run
 from spinpairs.families import (FAMILIES, PAIR_PARAM_FAMILIES, Embedding, ambient_signature,
                                 build_pair)
-from spinpairs.groups import (ClassificationError, LoopGenerator, OrthogonalMap,
-                             UnsupportedFamilyError)
-from spinpairs.pin import (MAX_COMMUTATOR_TERM_PAIRS, MAX_PATH_STEPS, LiftError, NotPinError,
-                           PinElement, _commutator_term_pairs, all_commute,
+from spinpairs.groups import (ClassificationError, DimensionCapError, LoopGenerator,
+                             OrthogonalMap, UnsupportedFamilyError)
+from spinpairs.pin import (MAX_PATH_STEPS, LiftError, NotPinError, PinElement, all_commute,
                            classify_extension, commutator_pairing, commutator_sign,
                            label_from_loop_signs, lift, loop_lift_sign, pin_element, project)
 
@@ -275,18 +275,60 @@ def test_negative_control_anticommutes():
     assert any(r["sign"] == -1 for r in recs)
 
 
+def test_commutator_sign_refuses_lifts_that_neither_commute_nor_anticommute():
+    # e0 (e0 + e1)/sqrt2 = (1 + e0e1)/sqrt2, but (e0 + e1) e0/sqrt2 = (1 - e0e1)/sqrt2
+    E = real_space(2)
+    x = pin_element(basis_vector(E, 0))
+    y = pin_element(from_vector(E, [1 / np.sqrt(2), 1 / np.sqrt(2)]))
+    with pytest.raises(NotPinError, match="not a dual pair candidate"):
+        commutator_sign(x, y)
+
+
 @pytest.mark.parametrize("family,params", [("O_star", (2, 2)), ("GL_R", (2, 2)),
-                                           ("U", ((1, 1), (1, 1))), ("Sp_C_real", (1, 1))])
-def test_commutator_term_pair_bound_covers_the_chain(family, params):
-    # the bound checked before the products holds for the products actually taken
+                                           ("U", ((1, 1), (1, 1))), ("Sp_C_real", (1, 1)),
+                                           ("GL_R", (3, 4))])
+def test_commutator_sign_takes_the_two_products_the_pairing_bounds(family, params, monkeypatch):
     spec = build_pair(family, params)
     x = lift(spec.G.identity_probe()[1])
     y = lift(spec.Gp.identity_probe()[1])
-    xy = x.value * y.value
-    xyx = xy * x.inverse_value()
-    a, c = len(x.value.terms), len(y.value.terms)
-    taken = a * c + len(xy.terms) * a + len(xyx.terms) * c
-    assert taken <= _commutator_term_pairs(x, y) <= MAX_COMMUTATOR_TERM_PAIRS
+    taken = []
+    mul = CliffordElement.__mul__
+
+    def spy(a, b):
+        taken.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(CliffordElement, "__mul__", spy)
+        commutator_sign(x, y)
+    pairs = len(x.value.terms) * len(y.value.terms)
+    assert taken == [pairs, pairs]
+    # without component reps each side lifts only its identity probe: one pair, x and y
+    probes = dataclasses.replace(spec, G=dataclasses.replace(spec.G, component_reps=[]),
+                                 Gp=dataclasses.replace(spec.Gp, component_reps=[]))
+    monkeypatch.setattr(pin, "MAX_COMMUTATOR_TERM_PAIRS", sum(taken))
+    assert len(commutator_pairing(probes)) == 1
+    monkeypatch.setattr(pin, "MAX_COMMUTATOR_TERM_PAIRS", sum(taken) - 1)
+    with pytest.raises(DimensionCapError, match=f"take {sum(taken)} term pairs, above the cap"):
+        commutator_pairing(probes)
+
+
+CHAIN_ORACLE_CASES = [(family, json.loads(params)) for family, params in load_expected_table()] \
+    + [("GL_R", (3, 4)), ("O_star", (2, 3))]
+
+
+@pytest.mark.parametrize("family,params", CHAIN_ORACLE_CASES,
+                         ids=[f"{f}{p}".replace(" ", "") for f, p in CHAIN_ORACLE_CASES])
+def test_commutator_sign_matches_the_commutator_chain(family, params, monkeypatch):
+    # oracle: x y x^-1 y^-1 multiplied out, which must be the scalar of the same sign
+    seen = []
+    sign = pin.commutator_sign
+    monkeypatch.setattr(pin, "commutator_sign", lambda x, y: seen.append((x, y)) or sign(x, y))
+    records = commutator_pairing(build_pair(family, params))
+    assert len(seen) == len(records) > 0
+    for (x, y), rec in zip(seen, records):
+        chain = x.value * y.value * x.inverse_value() * y.inverse_value()
+        assert pin._scalar_sign(chain, pin.COMMUTATOR_TOL) == rec["sign"], rec["pair"]
 
 
 def test_commutator_sign_constant_on_components():
