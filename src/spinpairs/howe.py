@@ -28,6 +28,12 @@ the benchmark's invariants workload): the graded exterior invariants of one
 member, found by brute-force nullspaces and carried into End(S) by
 ``transfer_invariants`` through the Chevalley map, span its commutant.
 
+Every kernel is one SVD cut at ``RANK_TOL * max(1, largest singular value)``.
+A diagonal generator or operator takes no SVD: invariants have weight zero
+under it, so ``invariant_space`` solves only the zero-weight blades and an
+End(S) ``commutant`` starts from the zero-weight unit matrices, each cut at
+the cutoff an SVD of that diagonal map would apply.
+
 The three degree-2 generator theorems for exterior invariants of GL, O and
 Sp are verified separately on standalone tensor models at small rank, with
 the brute-force invariant dimensions as the oracle.
@@ -61,97 +67,52 @@ HOWE_DIM_CAP = 12
 # numerical span utilities
 # ---------------------------------------------------------------------------
 
-def _rank(s: np.ndarray, scale: Optional[float] = None) -> int:
-    """Number of singular values above the one rank cutoff of the package.
+def _cutoff(scale: float) -> float:
+    """The one rank cutoff of the package, RANK_TOL * max(1, scale).
 
     Spans are built from O(1)-scaled group and Lie matrices, operators and
     wedges, so the cutoff keeps an absolute floor: a matrix whose largest
-    singular value is itself negligible is the zero map.  The cutoff is
-    RANK_TOL * max(1, largest singular value); when s holds only one block
-    of a matrix's singular values, `scale` passes that max over the whole
-    matrix, so each block is cut where the whole would be.
+    singular value is itself negligible is the zero map.
     """
-    scale = s.max(initial=1.0) if scale is None else scale
-    return int((s > RANK_TOL * scale).sum())
+    return RANK_TOL * max(1.0, scale)
+
+
+def _rank(s: np.ndarray, scale: Optional[float] = None) -> int:
+    """Number of singular values above the cutoff at the largest of them.
+
+    ``generated_algebra`` passes `scale`, the largest norm of the products
+    whose residual s belongs to, so a residual is cut where the products are.
+    """
+    return int((s > _cutoff(s.max(initial=0.0) if scale is None else scale)).sum())
 
 
 def nullspace(A: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning ker(A).
-
-    The connected components of the bipartite graph of A's exact nonzero
-    pattern, row i joined to column j iff A[i, j] != 0, permute A to block
-    diagonal form, so ker A is the direct sum of the block kernels and each
-    block is solved on its own.  A connected pattern gets one dense SVD.
-    """
+    """Orthonormal rows spanning ker(A), from one SVD cut by `_rank`."""
     A = np.asarray(A, dtype=complex)
-    blocks = _pattern_blocks(*np.nonzero(A), A.shape[1])
-    if len(blocks) > 1:
-        return _blockwise_nullspace(A, blocks)
     # only a wide A needs the full Vh
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     return vh[_rank(s):].conj()
 
 
-def _pattern_blocks(r: np.ndarray, c: np.ndarray,
-                    cols: int) -> List[Tuple[List[int], List[int]]]:
-    """(rows, columns) of each connected component of the pattern {(r[k], c[k])}.
+def _weight_cut(ops: Sequence[np.ndarray],
+                incidence: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The cells every diagonal op weighs zero, and the ops that are not diagonal.
 
-    A union-find over the columns joins each row's nonzero columns to its
-    first one; a column in no row is a component without rows.  Components
-    come in the order of their smallest column, rows and columns ascending.
+    An op whose off-diagonal entries are all exactly zero acts on cell c as
+    multiplication by the weight incidence[c] @ diag(op), so its kernel is
+    spanned by the unit vectors of the cells whose weight it cuts.  Each op
+    cuts the cells kept so far at the cutoff `_rank` gives that diagonal map,
+    the largest |weight| among them.
     """
-    parent = list(range(cols))
-
-    def root(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    first: Dict[int, int] = {}
-    for i, j in zip(r.tolist(), c.tolist()):
-        a, b = root(first.setdefault(i, j)), root(j)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    comp = [root(j) for j in range(cols)]
-    blocks: Dict[int, Tuple[List[int], List[int]]] = {}
-    for j, k in enumerate(comp):
-        blocks.setdefault(k, ([], []))[1].append(j)
-    for i, j in first.items():
-        blocks[comp[j]][0].append(i)
-    return list(blocks.values())
-
-
-def _blockwise_nullspace(A: np.ndarray,
-                         blocks: Sequence[Tuple[List[int], List[int]]]) -> np.ndarray:
-    """ker A as the direct sum of the kernels of its pattern blocks.
-
-    Blocks of one shape share a batched SVD.  Every rank is cut at the scale
-    of the whole matrix, the largest singular value over all blocks, which is
-    the cutoff the dense SVD of A applies.  A block without rows is a set of
-    columns no row touches, each one a kernel unit vector.
-    """
-    by_shape: Dict[Tuple[int, int], list] = {}
-    for rs, cs in blocks:
-        by_shape.setdefault((len(rs), len(cs)), []).append((rs, cs))
-    solved = []
-    for (m, n), group in by_shape.items():
-        if m == 0:
-            s = np.zeros((len(group), 0))
-            vh = np.broadcast_to(np.eye(n, dtype=complex), (len(group), n, n))
-        else:
-            _, s, vh = np.linalg.svd(np.stack([A[np.ix_(rs, cs)] for rs, cs in group]),
-                                     full_matrices=m < n)
-        solved.append((group, s, vh))
-    scale = max(s.max(initial=1.0) for _, s, _ in solved)
-    pieces = [(cs, vb[_rank(sb, scale):].conj())
-              for group, s, vh in solved for (_, cs), sb, vb in zip(group, s, vh)]
-    K = np.zeros((sum(len(k) for _, k in pieces), A.shape[1]), dtype=complex)
-    at = 0
-    for cs, k in pieces:
-        K[at:at + len(k), cs] = k
-        at += len(k)
-    return K
+    keep = np.ones(len(incidence), dtype=bool)
+    rest = []
+    for o in ops:
+        if np.count_nonzero(o) > np.count_nonzero(np.diagonal(o)):
+            rest.append(o)
+            continue
+        w = np.abs(incidence[keep] @ np.diagonal(o))
+        keep[keep] = w <= _cutoff(w.max(initial=0.0))
+    return np.flatnonzero(keep), rest
 
 
 def orthonormal_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -271,17 +232,26 @@ class InvariantSpace:
 
 def invariant_space(space_c: QuadraticSpace, lie: Sequence[np.ndarray],
                     comps: Sequence[np.ndarray]) -> InvariantSpace:
-    """Joint nullspace of Lie derivations and fixed space of component actions."""
+    """Joint nullspace of Lie derivations and fixed space of component actions.
+
+    A diagonal generator h acts on the blade S by its weight sum_{k in S} h_k,
+    so the invariants of each degree lie on the blades the weight cut keeps;
+    the other generators and the components are solved on those blades only.
+    """
     N = space_c.dim
     if N > HOWE_DIM_CAP:
         raise DimensionCapError(f"exterior dimension {N} exceeds cap {HOWE_DIM_CAP}")
+    lie = [np.asarray(X) for X in lie]
     bases: Dict[int, np.ndarray] = {}
     for d in range(N + 1):
-        nd = len(blades_of_degree(N, d))
+        blades = np.array(blades_of_degree(N, d))
+        cells, rest = _weight_cut(lie, blades[:, None] >> np.arange(N) & 1)
         constraints = itertools.chain(
-            (exterior_derivation_matrix(X, d) for X in lie),
-            (exterior_group_matrix(g, d) - np.eye(nd) for g in comps))
-        bases[d] = joint_nullspace(constraints, nd)
+            (exterior_derivation_matrix(X, d)[:, cells] for X in rest),
+            ((exterior_group_matrix(g, d) - np.eye(len(blades)))[:, cells] for g in comps))
+        K = joint_nullspace(constraints, len(cells))
+        bases[d] = np.zeros((len(K), len(blades)), dtype=complex)
+        bases[d][:, cells] = K
     return InvariantSpace(space_c, bases)
 
 
@@ -457,15 +427,31 @@ def commutant(ops: Sequence[np.ndarray], dim: int,
     """Orthonormal basis of the X in span(within), End(S) by default, with [X, op] = 0.
 
     Each op cuts the running orthonormal basis B, ``within`` if given, to the
-    c B with [c B, op] = 0; only the first op of an End(S) solve sees dim S^2 columns.
+    c B with [c B, op] = 0.  An End(S) solve starts from the unit matrices
+    E_ab whose weight h_a - h_b the weight cut keeps for every diagonal op h,
+    and scatters the first other op's kernel into those cells; only that op
+    sees more columns than the running kernel.
     """
-    basis = (np.eye(dim * dim, dtype=complex) if within is None
-             else np.asarray(within, dtype=complex).reshape(-1, dim * dim))
-    for o in map(np.asarray, ops):
+    ops = [np.asarray(o) for o in ops]
+    cells = None
+    if within is None:
+        eye = np.eye(dim)
+        cells, ops = _weight_cut(ops, (eye[:, None] - eye[None]).reshape(dim * dim, dim))
+        basis = np.zeros((len(cells), dim * dim), dtype=complex)
+        basis[np.arange(len(cells)), cells] = 1
+    else:
+        basis = np.asarray(within, dtype=complex).reshape(-1, dim * dim)
+    for o in ops:
         if not len(basis):
             break
         X = basis.reshape(-1, dim, dim)
-        basis = nullspace((X @ o - o @ X).reshape(len(basis), dim * dim).T) @ basis
+        K = nullspace((X @ o - o @ X).reshape(len(basis), dim * dim).T)
+        if cells is None:
+            basis = K @ basis
+        else:
+            basis = np.zeros((len(K), dim * dim), dtype=complex)
+            basis[:, cells] = K
+            cells = None
     return list(basis.reshape(-1, dim, dim))
 
 
@@ -490,7 +476,7 @@ def generated_algebra(ops: Sequence[np.ndarray], dim: int) -> List[np.ndarray]:
         start = len(basis)
         for o in ops:
             prods = (o @ frontier.reshape(-1, dim, dim)).reshape(len(frontier), -1)
-            scale = max(1.0, np.linalg.norm(prods, axis=1).max())
+            scale = np.linalg.norm(prods, axis=1).max()
             resid = prods
             for _ in range(2):
                 resid = resid - (resid @ basis.conj().T) @ basis
@@ -544,7 +530,7 @@ def blocks(alg: Sequence[np.ndarray], ops: Sequence[np.ndarray],
     prods = np.concatenate([eye[None], (o @ B3).reshape(k, -1)])
     scale = max(1.0, np.linalg.norm(prods, axis=1).max())
     resid = np.linalg.norm(prods - (prods @ B.conj().T) @ B, axis=1).max()
-    if resid > RANK_TOL * scale:
+    if resid > _cutoff(scale):
         raise RuntimeError(f"span(alg) is not closed under its generators: "
                            f"residual {resid:.1e} at scale {scale:.1e}")
     trace_form = B @ B3.transpose(0, 2, 1).reshape(k, -1).T

@@ -32,9 +32,11 @@ PIVOT_TOL = 1e-8
 SKIP_TOL = 1e-10
 DEFAULT_PATH_STEPS = 256
 MAX_PATH_STEPS = 1 << 14
-# term pairs of x y and y x together: about 12-14 s at the cap on the dict loop, which
-# runs every product above dim 16 (0.7-0.85 us a pair, measured at 2^23 on GL_R(5,6)
-# and GL_R(9,2)); the expected table needs 512 at most
+# term pairs of x y and y x together; the expected table needs 512 at most.  The dict
+# loop, which runs every product above dim 16, takes 0.7-0.85 us a pair on lifts of
+# like size (measured at 2^23 on GL_R(5,6) and GL_R(9,2)), 12-14 s at the cap.  A pair
+# costs more when the right factor is the larger lift: on U((1,0),(20,0)) y x took
+# 3.1-3.6 us a pair against 0.6 us for x y, which puts the cap near 35 s
 MAX_COMMUTATOR_TERM_PAIRS = 1 << 24
 
 

@@ -101,7 +101,7 @@ def _permuted_blocks(rng, blocks, zero_rows=0, zero_cols=0):
     return A[rng.permutation(rows)][:, rng.permutation(cols)]
 
 
-def _split_cases():
+def _nullspace_cases():
     rng = np.random.default_rng(2010)
 
     def square(k=5, side=16):
@@ -124,14 +124,23 @@ def _split_cases():
     }
 
 
-SPLIT_CASES = _split_cases()
+NULLSPACE_CASES = _nullspace_cases()
 
 
-@pytest.mark.parametrize("name", SPLIT_CASES)
-def test_split_nullspace_matches_dense_svd(name):
-    A = SPLIT_CASES[name]
-    K = nullspace(A)
+@pytest.mark.parametrize("name", NULLSPACE_CASES)
+def test_nullspace_matches_dense_svd(name, monkeypatch):
+    A = NULLSPACE_CASES[name]
     oracle = _dense_kernel(A)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    K = nullspace(A)
+    assert calls == [A.shape]  # one SVD of the whole input
     assert K.shape == oracle.shape
     assert np.abs(A @ K.T).max(initial=0.0) < 1e-9
     assert np.allclose(K @ K.conj().T, np.eye(len(K)), atol=1e-12)
@@ -141,10 +150,10 @@ def test_split_nullspace_matches_dense_svd(name):
         assert np.array_equal(K, np.eye(70))
 
 
-def test_split_cuts_every_block_at_the_whole_matrix_scale():
+def test_nullspace_cuts_at_the_largest_singular_value():
     # a block with singular values 1e3 sets the cutoff 1e-8 * 1e3 = 1e-5, so the
-    # 5e-6 direction of another block is kernel, as in one dense SVD; a per-block
-    # scale of max(1, 1) would cut at 1e-8 and count it as rank
+    # 5e-6 direction of another block is kernel; a cutoff of 1e-8 * max(1, 1)
+    # on that block alone would count it as rank
     rng = np.random.default_rng(6)
 
     def unitary(n):
@@ -155,6 +164,7 @@ def test_split_cuts_every_block_at_the_whole_matrix_scale():
     quiet = unitary(side) @ np.diag([5e-6] + [1.0] * (side - 1)) @ unitary(side)
     A = _permuted_blocks(rng, [loud, quiet, unitary(side), unitary(side), unitary(side)])
     assert nullspace(A).shape[0] == _dense_kernel(A).shape[0] == 1
+    assert len(nullspace(quiet)) == 0
 
 
 def test_dense_and_sparse_exterior_actions_agree():
@@ -407,6 +417,13 @@ def test_commutant_never_stacks_constraints(monkeypatch):
     assert len(solved) > 1 and solved[0][0] == d * d
     for (_, kernel), (cols, _) in zip(solved, solved[1:]):
         assert cols <= kernel < d * d
+    # gamma_0 gamma_2 is diagonal: the weight cut, not an SVD, takes its constraint,
+    # so the first solve sees only the cells of its zero weights
+    solved.clear()
+    h = spn.gammas[0] @ spn.gammas[2]
+    assert _is_diagonal(h)
+    assert len(commutant([h] + spn.gammas, d)) == 1
+    assert len(solved) == len(spn.gammas) and solved[0][0] == d * d // 2
     within = commutant(spn.gammas[:2], d)
     solved.clear()
     assert len(commutant(spn.gammas[2:], d, within=within)) == 1
@@ -418,13 +435,121 @@ def test_commutant_never_stacks_constraints(monkeypatch):
     assert commutant(spn.gammas, d, within=[g1]) == [] and len(solved) == 1
 
 
+def _is_diagonal(M):
+    return np.count_nonzero(M - np.diag(np.diagonal(M))) == 0
+
+
+def _pair_side(family, params):
+    spec = build_pair(family, params)
+    cpx = complexify(spec)
+    return spec, cpx, build_spinors(cpx.space_c)
+
+
+def _side_ops(family, params, side="G"):
+    spec, cpx, spn = _pair_side(family, params)
+    return side_operators(spec, spn, cpx, side), spn.dim_s
+
+
+def _hand_diagonal(gap):
+    # weights h_a - h_b of 0, gap and about 1: the cutoff is 1e-8 * 1
+    return [np.diag([0.0, gap, 1.0, 1.0 + 1e-3])], 4
+
+
+# name: (op set, whether each op is diagonal, pinned commutant dimension)
+COMMUTANT_CASES = {
+    "every op diagonal": (lambda: _side_ops("GL_C_complex", (1, 1)), {True}, None),
+    "some ops diagonal (U)": (lambda: _side_ops("U", ((1, 1), (1, 0))), {True, False}, None),
+    "some ops diagonal (GL_R)": (lambda: _side_ops("GL_R", (2, 1)), {True, False}, None),
+    "no op diagonal": (lambda: _side_ops("Sp_R", (1, 1)), {False}, None),
+    # the 5e-9 weight is kept, as the SVD keeps it; the 2e-8 weight is dropped
+    "weights inside the cutoff": (lambda: _hand_diagonal(5e-9), {True}, 6),
+    "weights beyond the cutoff": (lambda: _hand_diagonal(2e-8), {True}, 4),
+}
+
+
+@pytest.mark.parametrize("name", COMMUTANT_CASES)
+def test_weight_cut_commutant_matches_the_kron_kernel(name):
+    build, diagonal, pinned = COMMUTANT_CASES[name]
+    ops, d = build()
+    assert {_is_diagonal(o) for o in ops} == diagonal
+    # oracle: the kernel of the stacked commutator maps X -> X o - o X, one dense SVD
+    oracle = _dense_kernel(np.concatenate(
+        [np.kron(np.eye(d), o.T) - np.kron(o, np.eye(d)) for o in ops]))
+    C = np.array([c.ravel() for c in commutant(ops, d)])
+    assert C.shape == oracle.shape
+    assert np.allclose(C @ C.conj().T, np.eye(len(C)), atol=1e-12)
+    assert np.allclose(C.T @ C.conj(), oracle.T @ oracle.conj(), atol=1e-9)
+    assert pinned in (None, len(C))
+
+
+def _all_blade_invariants(N, lie, comps):
+    """Oracle: per degree, the kernel of every derivation and every component
+    action minus the identity on all blades, stacked, from one dense SVD."""
+    out = {}
+    for d in range(N + 1):
+        nd = len(blades_of_degree(N, d))
+        out[d] = _dense_kernel(np.concatenate(
+            [np.zeros((0, nd))] + [exterior_derivation_matrix(X, d) for X in lie]
+            + [exterior_group_matrix(g, d) - np.eye(nd) for g in comps]))
+    return out
+
+
+def _model_inputs(model):
+    return model.space(), model.lie(), model.comps()
+
+
+def _side_inputs(family, params, side):
+    _, cpx, _ = _pair_side(family, params)
+    lie, comps = cpx.side(side)
+    return cpx.space_c, lie, [g for _, g in comps]
+
+
+INVARIANT_CASES = {
+    "GLModel(1,2,2)": lambda: _model_inputs(GLModel(1, 2, 2)),
+    "GLModel(2,2,2)": lambda: _model_inputs(GLModel(2, 2, 2)),
+    "SpModel(1,2)": lambda: _model_inputs(SpModel(1, 2)),
+    "OModel(2,3)": lambda: _model_inputs(OModel(2, 3)),
+    "GL_R(2,1) G": lambda: _side_inputs("GL_R", (2, 1), "G"),
+    "GL_R(2,1) Gp": lambda: _side_inputs("GL_R", (2, 1), "Gp"),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANT_CASES)
+def test_weight_cut_invariants_match_the_all_blade_solve(name, monkeypatch):
+    space, lie, comps = INVARIANT_CASES[name]()
+    oracle = _all_blade_invariants(space.dim, lie, comps)
+    built = []
+    derivation = howe.exterior_derivation_matrix
+
+    def spy(X, d):
+        built.append(np.asarray(X))
+        return derivation(X, d)
+
+    monkeypatch.setattr(howe, "exterior_derivation_matrix", spy)
+    inv = invariant_space(space, lie, comps)
+    for d, K in inv.degree_bases.items():
+        assert K.shape == oracle[d].shape, d
+        assert np.allclose(K @ K.conj().T, np.eye(len(K)), atol=1e-12)
+        assert np.allclose(K.T @ K.conj(), oracle[d].T @ oracle[d].conj(), atol=1e-9), d
+    # no derivation matrix of a diagonal generator is built, in any degree
+    assert not any(_is_diagonal(X) for X in built)
+    assert bool(built) == any(not _is_diagonal(np.asarray(X)) for X in lie)
+
+
 def test_rank_decisions_only_in_howe():
-    # every SVD, and with it every rank cutoff, lives in howe.py
+    # every SVD, and with it every rank cutoff, lives in howe.py, and every
+    # cutoff, the weight cut's too, is RANK_TOL times a scale in one expression
+    products = []
     for path in Path(spinpairs.__file__).parent.glob("*.py"):
         text = path.read_text()
         assert "full_matrices=True" not in text, path.name
         if path.name != "howe.py":
             assert "svd(" not in text, path.name
+        products += [(path.name, node.lineno) for node in ast.walk(ast.parse(text))
+                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                     and "RANK_TOL" in {getattr(node.left, "id", None),
+                                        getattr(node.right, "id", None)}]
+    assert [name for name, _ in products] == ["howe.py"], products
 
 
 # public names that only tests call, each kept for a reason
