@@ -119,6 +119,15 @@ def reorder_sign(a: int, b: int) -> int:
     return -1 if (a & _reorder_mask(b)).bit_count() & 1 else 1
 
 
+def reorder_signs(a: np.ndarray, b: int) -> np.ndarray:
+    """reorder_sign(m, b) for every mask m of the array a, as an int64 array.
+
+    The masks of a are below 2**MAX_DIM, so a & _reorder_mask(b) is a
+    non-negative int64 whose bits np.bitwise_count counts.
+    """
+    return np.where(np.bitwise_count(np.asarray(a, np.int64) & _reorder_mask(b)) & 1, -1, 1)
+
+
 def blade_product(a: int, b: int, space: QuadraticSpace) -> Tuple[int, int]:
     """Product of two basis blades: (mask a XOR b, integer coefficient).
 
@@ -164,16 +173,10 @@ class _BladeMap:
     def coeff(self, mask: int) -> complex:
         return self.terms.get(mask, 0j)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def parity(self) -> Optional[int]:
         """0 even, 1 odd, None if not parity-homogeneous (or zero)."""
         ps = {grade(m) & 1 for m in self.terms}
         return ps.pop() if len(ps) == 1 else None
-
-    def grade_part(self, k: int):
-        return self._new({m: c for m, c in self.terms.items() if grade(m) == k})
 
     def distance(self, other) -> float:
         self._binary_check(other)

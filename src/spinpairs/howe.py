@@ -36,7 +36,10 @@ the cutoff an SVD of that diagonal map would apply.
 
 The three degree-2 generator theorems for exterior invariants of GL, O and
 Sp are verified separately on standalone tensor models at small rank, with
-the brute-force invariant dimensions as the oracle.
+the brute-force invariant dimensions as the oracle.  Each degree's generated
+wedges are gated into the span of that degree's invariant basis and ranked
+in its coordinates.  The wedge and derivation matrices are built as arrays
+over the blade masks of a degree, their signs from ``clifford.reorder_signs``.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ import functools
 import itertools
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import (ExteriorElement, QuadraticSpace, _mask_indices, chevalley_T,
-                       complex_space, exterior_blade_images, reorder_sign)
+from .clifford import (ExteriorElement, QuadraticSpace, chevalley_T, complex_space,
+                       exterior_blade_images, grade, reorder_signs)
 from .families import gl_real_basis, reflection, so_pq_basis, sp_2n_basis
 from .groups import ComplexifiedPair, DimensionCapError, DualPairSpec, complexify
 from .pin import lift
@@ -161,48 +164,60 @@ def blades_of_degree(N: int, d: int) -> Tuple[int, ...]:
     return tuple(sum(1 << i for i in comb) for comb in itertools.combinations(range(N), d))
 
 
-def _degree_matrix(N: int, d_from: int, d_to: int,
-                   image: Callable[[int], Iterable[Tuple[int, complex]]]) -> np.ndarray:
-    """Matrix on the blade bases of Lambda(C^N): the column of a degree-d_from blade S
-    sums the (degree-d_to blade, coefficient) terms that image(S) yields."""
-    src = blades_of_degree(N, d_from)
-    row = {m: i for i, m in enumerate(blades_of_degree(N, d_to))}
-    M = np.zeros((len(row), len(src)), dtype=complex)
-    for col, S in enumerate(src):
-        for m, c in image(S):
-            M[row[m], col] += c
+def _positions(masks: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """The index in masks of each mask of `of`; masks holds all of them."""
+    order = np.argsort(masks)
+    return order[np.searchsorted(masks, of, sorter=order)]
+
+
+def _scatter(shape: Tuple[int, int], parts: List[Tuple[np.ndarray, ...]]) -> np.ndarray:
+    """The matrix that sums each (rows, cols, values) of parts into its cells, in order."""
+    M = np.zeros(shape, dtype=complex)
+    if parts:
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        np.add.at(M, (rows, cols), vals)
     return M
 
 
 def exterior_group_matrix(g: np.ndarray, d: int) -> np.ndarray:
     """Matrix of the factorwise action of g on degree-d wedges."""
-    image = exterior_blade_images(g, complex_space(len(g)))
-    return _degree_matrix(len(g), d, d, lambda S: image(S).terms.items())
+    N = len(g)
+    image = exterior_blade_images(g, complex_space(N))
+    src = blades_of_degree(N, d)
+    row = {m: i for i, m in enumerate(src)}
+    M = np.zeros((len(src), len(src)), dtype=complex)
+    for col, S in enumerate(src):
+        for m, c in image(S).terms.items():
+            M[row[m], col] += c
+    return M
 
 
 def exterior_derivation_matrix(X: np.ndarray, d: int) -> np.ndarray:
     """Matrix of the derivation extension of X on degree-d wedges.
 
+    Each nonzero X[i, j] moves the blades S holding j and not i to
+    S - j + i, all at once; the diagonal X[j, j] scales those holding j.
     Independent of exterior_blade_images, so that it cross-checks the group matrix.
     """
     X = np.asarray(X, dtype=complex)
     N = X.shape[0]
     if X.shape != (N, N):
         raise ValueError(f"a {X.shape} matrix is not an endomorphism")
-    cols = [[(i, X[i, j]) for i in range(N) if X[i, j] != 0] for j in range(N)]
-
-    def image(mask):
-        for j in _mask_indices(mask):
-            rest = mask ^ (1 << j)
-            for i, v in cols[j]:
-                if i == j:
-                    yield mask, v
-                elif not mask >> i & 1:
-                    # the (-1)^|rest| factors of the two reorderings cancel
-                    sign = reorder_sign(rest, 1 << j) * reorder_sign(rest, 1 << i)
-                    yield rest | (1 << i), sign * v
-
-    return _degree_matrix(N, d, d, image)
+    masks = np.array(blades_of_degree(N, d), dtype=np.int64)
+    parts = []
+    # argwhere yields the diagonal entries in ascending order, so each blade
+    # sums its diagonal terms in the order of its bits
+    for i, j in np.argwhere(X).tolist():
+        if i == j:
+            col = np.flatnonzero(masks >> j & 1)
+            parts.append((col, col, np.full(len(col), X[j, j])))
+            continue
+        col = np.flatnonzero(masks & (1 << i | 1 << j) == 1 << j)
+        rest = masks[col] ^ (1 << j)
+        # the (-1)^|rest| factors of the two reorderings cancel
+        sign = reorder_signs(rest, 1 << j) * reorder_signs(rest, 1 << i)
+        parts.append((_positions(masks, rest | (1 << i)), col, sign * X[i, j]))
+    return _scatter((len(masks), len(masks)), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +380,23 @@ class SpModel:
 
 
 def wedge_matrix(g: ExteriorElement, d_from: int, d_to: int) -> np.ndarray:
-    """Matrix of (g ^ .) from degree d_from wedges to degree d_to wedges."""
-    return _degree_matrix(g.space.dim, d_from, d_to, lambda S: (
-        g ^ ExteriorElement(g.space, {S: 1.0})).terms.items())
+    """Matrix of (g ^ .) from degree d_from wedges to degree d_to wedges.
+
+    Every term t of g must have degree d_to - d_from; it sends each blade S
+    disjoint from it to e_t ^ e_S = (-1)^(|t| d_from) e_S ^ e_t.
+    """
+    N = g.space.dim
+    src = np.array(blades_of_degree(N, d_from), dtype=np.int64)
+    dst = np.array(blades_of_degree(N, d_to), dtype=np.int64)
+    parts = []
+    for t, c in g.terms.items():
+        if grade(t) != d_to - d_from:
+            raise ValueError(f"a term of degree {grade(t)} does not map degree {d_from} "
+                             f"to degree {d_to}")
+        col = np.flatnonzero(src & t == 0)
+        sign = (-1) ** (grade(t) * d_from) * reorder_signs(src[col], t)
+        parts.append((_positions(dst, src[col] | t), col, sign * c))
+    return _scatter((len(dst), len(src)), parts)
 
 
 def verify_generation(model) -> Dict[int, Tuple[int, int]]:
@@ -375,35 +404,33 @@ def verify_generation(model) -> Dict[int, Tuple[int, int]]:
 
     The generated subalgebra is the wedge-span closure of the degree-2
     generator elements; since they have even degree the monomial spans close
-    degree by degree.
+    degree by degree.  Degree d's rows, the generators wedged with degree
+    d - 2's basis, must lie in the span of the invariant basis Q_d: a row
+    residual above the cutoff of the largest row norm raises RuntimeError, so
+    at degree 2 every generator is checked invariant.  The rows are ranked by
+    their coordinates on Q_d, which have the same singular values.
     """
     N = model.dim
     inv = invariant_space(model.space(), model.lie(), model.comps())
     gens = model.generators()
-    # every generator must itself be invariant
-    for g in gens:
-        for d, basis in inv.degree_bases.items():
-            part = g.grade_part(d)
-            if not part.is_zero():
-                v = np.array([part.coeff(m) for m in blades_of_degree(N, d)])
-                if span_rank([*basis, v]) > basis.shape[0]:
-                    raise RuntimeError("generator element is not invariant")
-    report: Dict[int, Tuple[int, int]] = {}
+    report: Dict[int, Tuple[int, int]] = {0: (1, inv.dims[0])}
     current: Dict[int, np.ndarray] = {0: np.ones((1, 1), dtype=complex)}
-    for d in range(N + 1):
-        inv_dim = inv.dims[d]
+    for d in range(1, N + 1):
+        Q = inv.degree_bases[d]
         gen_dim = 0
-        if d == 0:
-            gen_dim = 1
-        elif d % 2 == 0 and (d - 2) in current and current[d - 2].shape[0] > 0:
-            rows = []
-            for g in gens:
-                W = wedge_matrix(g, d - 2, d)
-                rows.extend((current[d - 2] @ W.T))
-            basis = orthonormal_rows(rows)
-            current[d] = basis
-            gen_dim = basis.shape[0]
-        report[d] = (gen_dim, inv_dim)
+        if d % 2 == 0:
+            rows = np.concatenate([np.zeros((0, Q.shape[1]))] + [
+                current[d - 2] @ wedge_matrix(g, d - 2, d).T for g in gens])
+            coords = rows @ Q.conj().T
+            resid = np.linalg.norm(rows - coords @ Q, axis=1).max(initial=0.0)
+            scale = np.linalg.norm(rows, axis=1).max(initial=0.0)
+            if resid > _cutoff(scale):
+                raise RuntimeError(f"generated wedges of degree {d} are not invariant: "
+                                   f"residual {resid:.1e} at scale {scale:.1e}")
+            _, s, vh = np.linalg.svd(coords, full_matrices=False)
+            gen_dim = _rank(s)
+            current[d] = vh[:gen_dim] @ Q
+        report[d] = (gen_dim, inv.dims[d])
     return report
 
 

@@ -11,7 +11,8 @@ import pytest
 import spinpairs
 from spinpairs import howe
 from spinpairs.cli import load_expected_table
-from spinpairs.clifford import ExteriorElement, complex_space, exterior_vector
+from spinpairs.clifford import (ExteriorElement, _mask_indices, complex_space, exterior_vector,
+                                reorder_sign)
 from spinpairs.families import build_pair, normalize_params
 from spinpairs.groups import UnsupportedFamilyError, complexify
 from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_of_degree,
@@ -19,7 +20,8 @@ from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_
                             exterior_derivation_matrix, exterior_group_matrix,
                             generated_algebra, howe_check, invariant_space, invariants,
                             nullspace, orthonormal_rows, side_operators,
-                            subspace_equal, transfer_invariants, verify_generation)
+                            subspace_equal, transfer_invariants, verify_generation,
+                            wedge_matrix)
 from spinpairs.pin import lift
 from spinpairs.spinor import build_spinors, pi_rep
 from test_groups import random_element
@@ -70,6 +72,46 @@ def test_derivation_exponentiates_to_group_action():
 def test_exterior_matrices_reject_non_square(build):
     with pytest.raises(ValueError):
         build(np.ones((3, 5)), 1)
+
+
+def _loop_derivation_matrix(X, d):
+    # oracle: the per-blade loop over each blade's bits that the array build replaced
+    N = len(X)
+    blades = blades_of_degree(N, d)
+    row = {m: i for i, m in enumerate(blades)}
+    cols = [[(i, X[i, j]) for i in range(N) if X[i, j] != 0] for j in range(N)]
+    M = np.zeros((len(blades), len(blades)), dtype=complex)
+    for col, mask in enumerate(blades):
+        for j in _mask_indices(mask):
+            rest = mask ^ (1 << j)
+            for i, v in cols[j]:
+                if i == j:
+                    M[col, col] += v
+                elif not mask >> i & 1:
+                    sign = reorder_sign(rest, 1 << j) * reorder_sign(rest, 1 << i)
+                    M[row[rest | (1 << i)], col] += sign * v
+    return M
+
+
+def _derivation_cases():
+    rng = np.random.default_rng(909)
+    cases = {}
+    for N in range(1, 10):
+        mask = rng.random((N, N)) < 0.3
+        cases[f"sparse N={N}"] = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))) * mask
+    cases["diagonal"] = np.diag(rng.normal(size=7) + 1j * rng.normal(size=7))
+    cases["zero"] = np.zeros((6, 6), dtype=complex)
+    return cases
+
+
+DERIVATION_CASES = _derivation_cases()
+
+
+@pytest.mark.parametrize("name", DERIVATION_CASES)
+def test_derivation_matrix_matches_the_blade_loop(name):
+    X = DERIVATION_CASES[name]
+    for d in range(len(X) + 1):
+        assert np.array_equal(exterior_derivation_matrix(X, d), _loop_derivation_matrix(X, d)), d
 
 
 def test_nullspace_of_zero_map_is_everything():
@@ -268,7 +310,7 @@ def test_eta_antisymmetry():
             acc = acc + (u_a ^ u_b)
         return acc
 
-    assert (eta(0, 1) + eta(1, 0)).is_zero()
+    assert not (eta(0, 1) + eta(1, 0)).terms
 
 
 def test_gamma_generators_killed_by_sp_derivations():
@@ -330,6 +372,38 @@ def test_generators_are_the_wedge_sums_of_the_theorems(model):
     assert all(g.equals_exact(w) for g, w in zip(got, want))
 
 
+def _sparse_wedge_matrix(g, d_from, d_to):
+    # oracle: each column is the sparse product g ^ e_S
+    src = blades_of_degree(g.space.dim, d_from)
+    row = {m: i for i, m in enumerate(blades_of_degree(g.space.dim, d_to))}
+    M = np.zeros((len(row), len(src)), dtype=complex)
+    for col, S in enumerate(src):
+        for m, c in (g ^ ExteriorElement(g.space, {S: 1})).terms.items():
+            M[row[m], col] += c
+    return M
+
+
+@pytest.mark.parametrize("model", GENERATION_GRID + [GLModel(2, 3, 3), SpModel(2, 3)],
+                         ids=lambda m: repr(m))
+def test_wedge_matrix_matches_the_sparse_wedge(model):
+    for g in model.generators():
+        for d in range(2, model.dim + 1):
+            assert np.array_equal(wedge_matrix(g, d - 2, d), _sparse_wedge_matrix(g, d - 2, d)), d
+
+
+def test_wedge_matrix_signs_odd_degrees_and_refuses_mixed_ones():
+    # an odd term t picks up (-1)^(|t| d_from) in e_t ^ e_S = +-e_S ^ e_t
+    rng = np.random.default_rng(7)
+    space = complex_space(6)
+    for k in (1, 2, 3):
+        blades = blades_of_degree(6, k)
+        g = ExteriorElement(space, {m: complex(*rng.normal(size=2)) for m in blades[::2]})
+        for d in range(7 - k):
+            assert np.array_equal(wedge_matrix(g, d, d + k), _sparse_wedge_matrix(g, d, d + k))
+    with pytest.raises(ValueError):
+        wedge_matrix(ExteriorElement(space, {0b11: 1.0, 0b111: 1.0}), 0, 2)
+
+
 def test_verify_generation_rejects_a_non_invariant_generator():
     # the reflection in comps negates e0 ^ e2, though so(2) kills it
     class WithExtra(OModel):
@@ -338,6 +412,20 @@ def test_verify_generation_rejects_a_non_invariant_generator():
 
     with pytest.raises(RuntimeError):
         verify_generation(WithExtra(2, 2))
+
+
+def test_verify_generation_rejects_generated_wedges_off_the_invariants(monkeypatch):
+    # a degree-4 basis missing a row: the wedges of the generators leave its span
+    solve = howe.invariant_space
+
+    def short(*args):
+        inv = solve(*args)
+        inv.degree_bases[4] = inv.degree_bases[4][1:]
+        return inv
+
+    monkeypatch.setattr(howe, "invariant_space", short)
+    with pytest.raises(RuntimeError):
+        verify_generation(GLModel(1, 2, 2))
 
 
 def test_verify_generation_caps_the_exterior_dimension():

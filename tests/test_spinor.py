@@ -122,7 +122,7 @@ def test_pi_multiplicative_on_lifts():
 def test_lie_to_clifford_zero():
     E = real_space(2)
     q = lie_to_clifford(np.zeros((2, 2)), E)
-    assert q.is_zero()
+    assert not q.terms
 
 
 def test_lie_to_clifford_elementary_rotation():
