@@ -11,17 +11,16 @@ import pytest
 import spinpairs
 from spinpairs import howe
 from spinpairs.cli import load_expected_table
-from spinpairs.clifford import (ExteriorElement, _mask_indices, complex_space, exterior_vector,
-                                reorder_sign)
-from spinpairs.families import build_pair, normalize_params
-from spinpairs.groups import UnsupportedFamilyError, complexify
+from spinpairs.clifford import (ExteriorElement, _mask_indices, complex_space,
+                                exterior_blade_images, exterior_vector, reorder_sign)
+from spinpairs.families import (FAMILIES, PAIR_PARAM_FAMILIES, ambient_signature, build_pair,
+                                normalize_params)
+from spinpairs.groups import ClassificationError, UnsupportedFamilyError, complexify
 from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_of_degree,
-                            commutant, commuting,
-                            exterior_derivation_matrix, exterior_group_matrix,
+                            commutant, commuting, exterior_derivation_matrix,
                             generated_algebra, howe_check, invariant_space, invariants,
                             nullspace, orthonormal_rows, side_operators,
-                            subspace_equal, transfer_invariants, verify_generation,
-                            wedge_matrix)
+                            subspace_equal, transfer_invariants, verify_generation, wedge_rows)
 from spinpairs.pin import lift
 from spinpairs.spinor import build_spinors, pi_rep
 from test_groups import random_element
@@ -30,6 +29,29 @@ RNG = np.random.default_rng(314)
 
 
 # --- exterior actions ---------------------------------------------------------
+
+def exterior_group_matrix(g, d):
+    """Oracle: the matrix of the factorwise action of g on degree-d wedges, blade by blade."""
+    N = len(g)
+    image = exterior_blade_images(g, complex_space(N))
+    src = blades_of_degree(N, d)
+    row = {m: i for i, m in enumerate(src)}
+    M = np.zeros((len(src), len(src)), dtype=complex)
+    for col, S in enumerate(src):
+        for m, c in image(S).terms.items():
+            M[row[m], col] += c
+    return M
+
+
+def _derivation(X, d):
+    """The derivation matrix of X on every blade of degree d."""
+    return exterior_derivation_matrix(X, d, np.arange(len(blades_of_degree(len(X), d))))
+
+
+def wedge_matrix(g, d_from, d_to):
+    """The matrix of (g ^ .) from degree d_from to degree d_to: g wedged with each unit row."""
+    return wedge_rows(g, np.eye(len(blades_of_degree(g.space.dim, d_from))), d_from, d_to).T
+
 
 def test_identity_acts_as_identity():
     for d in range(4):
@@ -49,7 +71,7 @@ def test_derivation_leibniz_on_wedges():
     v = RNG.normal(size=4)
     w = RNG.normal(size=4)
     vw = exterior_vector(E, v) ^ exterior_vector(E, w)
-    D2 = exterior_derivation_matrix(X, 2)
+    D2 = _derivation(X, 2)
     blades = blades_of_degree(4, 2)
     coords = np.array([complex(vw.coeff(m)) for m in blades])
     lhs = D2 @ coords
@@ -64,11 +86,12 @@ def test_derivation_exponentiates_to_group_action():
     X = RNG.normal(size=(4, 4))
     g = sla.expm(X)
     for d in range(5):
-        assert np.allclose(sla.expm(exterior_derivation_matrix(X, d)),
+        assert np.allclose(sla.expm(_derivation(X, d)),
                            exterior_group_matrix(g, d), atol=1e-8)
 
 
-@pytest.mark.parametrize("build", [exterior_group_matrix, exterior_derivation_matrix])
+@pytest.mark.parametrize("build", [exterior_group_matrix, _derivation],
+                         ids=["exterior_group_matrix", "exterior_derivation_matrix"])
 def test_exterior_matrices_reject_non_square(build):
     with pytest.raises(ValueError):
         build(np.ones((3, 5)), 1)
@@ -111,7 +134,19 @@ DERIVATION_CASES = _derivation_cases()
 def test_derivation_matrix_matches_the_blade_loop(name):
     X = DERIVATION_CASES[name]
     for d in range(len(X) + 1):
-        assert np.array_equal(exterior_derivation_matrix(X, d), _loop_derivation_matrix(X, d)), d
+        assert np.array_equal(_derivation(X, d), _loop_derivation_matrix(X, d)), d
+
+
+@pytest.mark.parametrize("name", DERIVATION_CASES)
+def test_derivation_matrix_on_cells_is_the_full_matrix_cut_to_them(name):
+    # the kept columns only, entry for entry as the full matrix has them
+    X = DERIVATION_CASES[name]
+    rng = np.random.default_rng(len(X))
+    for d in range(len(X) + 1):
+        full = _derivation(X, d)
+        for size in {0, 1, full.shape[1] // 2, full.shape[1]}:
+            cells = np.sort(rng.choice(full.shape[1], size, replace=False))
+            assert np.array_equal(exterior_derivation_matrix(X, d, cells), full[:, cells]), d
 
 
 def test_nullspace_of_zero_map_is_everything():
@@ -257,7 +292,7 @@ def test_invariant_vectors_annihilated_and_fixed():
     N = cpx.space_c.dim
     for d, basis in inv.degree_bases.items():
         for X in cpx.lie_G:
-            D = exterior_derivation_matrix(X, d)
+            D = _derivation(X, d)
             for row in basis:
                 assert np.linalg.norm(D @ row) < 1e-9
         for _, g in cpx.comps_G:
@@ -280,6 +315,41 @@ def test_invariants_independent_of_generator_basis():
         mixed.append(sum(c * X for c, X in zip(row, cpx.lie_G)))
     alt = invariant_space(cpx.space_c, mixed, [g for _, g in cpx.comps_G])
     assert alt.dims == base
+
+
+def _family_instances(max_dim):
+    """Every family instance with dim E <= max_dim."""
+    sides = [(p, q) for p in range(max_dim + 1) for q in range(max_dim + 1)
+             if 1 <= p + q <= max_dim]
+    for family in FAMILIES:
+        grid = sides if family in PAIR_PARAM_FAMILIES else range(1, max_dim + 1)
+        for params in itertools.product(grid, grid):
+            try:
+                if sum(ambient_signature(family, params)) <= max_dim:
+                    yield family, params
+            except ClassificationError:
+                continue
+
+
+def test_every_component_rep_is_an_exact_sign_diagonal():
+    # the premise of the parity cut: each complexified component rep of every
+    # family instance with dim E <= 12, and OModel's reflection, is +-1 on the
+    # diagonal and exactly zero off it
+    instances = list(_family_instances(12))
+    reps = [g for family, params in instances for side in ("G", "Gp")
+            for _, g in complexify(build_pair(family, params)).side(side)[1]]
+    reps += [g for n in range(1, 4) for m in range(1, 5) for g in OModel(n, m).comps()]
+    assert (len(instances), len(reps)) == (782, 1634)
+    for g in reps:
+        assert np.isin(np.diagonal(g), (1, -1)).all() and np.count_nonzero(g) == len(g)
+
+
+@pytest.mark.parametrize("comp", [np.eye(4)[[1, 0, 2, 3]], np.diag([1j, -1j, 1, 1])],
+                         ids=["coordinate swap", "diag(i, -i, 1, 1)"])
+def test_invariant_space_refuses_a_component_that_is_not_a_sign_diagonal(comp):
+    # each fixes wedges no parity rule finds (e0 + e1, and e0 ^ e1), so it is refused
+    with pytest.raises(ValueError, match="exact"):
+        invariant_space(complex_space(4), [], [comp])
 
 
 # --- generator elements ----------------------------------------------------------
@@ -316,7 +386,7 @@ def test_eta_antisymmetry():
 def test_gamma_generators_killed_by_sp_derivations():
     model = SpModel(1, 2)
     blades = blades_of_degree(model.dim, 2)
-    D = [exterior_derivation_matrix(X, 2) for X in model.lie()]
+    D = [_derivation(X, 2) for X in model.lie()]
     for g in model.generators():
         v = np.array([complex(g.coeff(m)) for m in blades])
         for Dx in D:
@@ -402,6 +472,17 @@ def test_wedge_matrix_signs_odd_degrees_and_refuses_mixed_ones():
             assert np.array_equal(wedge_matrix(g, d, d + k), _sparse_wedge_matrix(g, d, d + k))
     with pytest.raises(ValueError):
         wedge_matrix(ExteriorElement(space, {0b11: 1.0, 0b111: 1.0}), 0, 2)
+
+
+@pytest.mark.parametrize("model", [GLModel(2, 2, 2), SpModel(1, 3), OModel(3, 3)],
+                         ids=lambda m: repr(m))
+def test_wedge_rows_are_the_rows_times_the_wedge_matrix(model):
+    rng = np.random.default_rng(11)
+    for g in model.generators():
+        for d in range(2, model.dim + 1):
+            oracle = _sparse_wedge_matrix(g, d - 2, d)
+            R = rng.normal(size=(3, oracle.shape[1])) + 1j * rng.normal(size=(3, oracle.shape[1]))
+            assert np.allclose(wedge_rows(g, R, d - 2, d), R @ oracle.T, atol=1e-12), d
 
 
 def test_verify_generation_rejects_a_non_invariant_generator():
@@ -577,7 +658,7 @@ def _all_blade_invariants(N, lie, comps):
     for d in range(N + 1):
         nd = len(blades_of_degree(N, d))
         out[d] = _dense_kernel(np.concatenate(
-            [np.zeros((0, nd))] + [exterior_derivation_matrix(X, d) for X in lie]
+            [np.zeros((0, nd))] + [_derivation(X, d) for X in lie]
             + [exterior_group_matrix(g, d) - np.eye(nd) for g in comps]))
     return out
 
@@ -587,7 +668,7 @@ def _model_inputs(model):
 
 
 def _side_inputs(family, params, side):
-    _, cpx, _ = _pair_side(family, params)
+    cpx = complexify(build_pair(family, params))
     lie, comps = cpx.side(side)
     return cpx.space_c, lie, [g for _, g in comps]
 
@@ -599,6 +680,12 @@ INVARIANT_CASES = {
     "OModel(2,3)": lambda: _model_inputs(OModel(2, 3)),
     "GL_R(2,1) G": lambda: _side_inputs("GL_R", (2, 1), "G"),
     "GL_R(2,1) Gp": lambda: _side_inputs("GL_R", (2, 1), "Gp"),
+    # sides whose components carry the invariants, cut by parity
+    "OModel(3,3)": lambda: _model_inputs(OModel(3, 3)),
+    "O_C(3,3) G": lambda: _side_inputs("O_C", (3, 3), "G"),
+    "O_C(3,3) Gp": lambda: _side_inputs("O_C", (3, 3), "Gp"),
+    "O_real((2,1),(2,1)) G": lambda: _side_inputs("O_real", ((2, 1), (2, 1)), "G"),
+    "O_C_real(2,2) G": lambda: _side_inputs("O_C_real", (2, 2), "G"),
 }
 
 
@@ -606,15 +693,22 @@ INVARIANT_CASES = {
 def test_weight_cut_invariants_match_the_all_blade_solve(name, monkeypatch):
     space, lie, comps = INVARIANT_CASES[name]()
     oracle = _all_blade_invariants(space.dim, lie, comps)
-    built = []
-    derivation = howe.exterior_derivation_matrix
+    built, solved = [], []
+    derivation, solve = howe.exterior_derivation_matrix, howe.nullspace
 
-    def spy(X, d):
+    def spy(X, d, cells):
         built.append(np.asarray(X))
-        return derivation(X, d)
+        return derivation(X, d, cells)
+
+    def nullspace_spy(A):
+        solved.append(np.shape(A))
+        return solve(A)
 
     monkeypatch.setattr(howe, "exterior_derivation_matrix", spy)
+    monkeypatch.setattr(howe, "nullspace", nullspace_spy)
     inv = invariant_space(space, lie, comps)
+    # every SVD is a derivation's: no component builds a matrix or takes an SVD
+    assert len(solved) == len(built)
     for d, K in inv.degree_bases.items():
         assert K.shape == oracle[d].shape, d
         assert np.allclose(K @ K.conj().T, np.eye(len(K)), atol=1e-12)
