@@ -119,13 +119,23 @@ def reorder_sign(a: int, b: int) -> int:
     return -1 if (a & _reorder_mask(b)).bit_count() & 1 else 1
 
 
-def reorder_signs(a: np.ndarray, b: int) -> np.ndarray:
-    """reorder_sign(m, b) for every mask m of the array a, as an int64 array.
+def _reorder_masks(b: np.ndarray) -> np.ndarray:
+    """_reorder_mask of every mask of the int64 array b, on the bits below MAX_DIM:
+    bit i, the parity of the bits of b below i, by a prefix-XOR scan of b << 1."""
+    k = np.asarray(b, np.int64) << 1
+    for s in (1, 2, 4, 8, 16, 32):
+        k ^= k << s
+    return k
 
-    The masks of a are below 2**MAX_DIM, so a & _reorder_mask(b) is a
+
+def reorder_signs(a: np.ndarray, b) -> np.ndarray:
+    """reorder_sign(m, n) for the masks m of a and n of b (an int or int64 array),
+    broadcast against each other, as an int64 array.
+
+    The masks of a are below 2**MAX_DIM, so a & _reorder_masks(b) is a
     non-negative int64 whose bits np.bitwise_count counts.
     """
-    return np.where(np.bitwise_count(np.asarray(a, np.int64) & _reorder_mask(b)) & 1, -1, 1)
+    return np.where(np.bitwise_count(np.asarray(a, np.int64) & _reorder_masks(b)) & 1, -1, 1)
 
 
 def blade_product(a: int, b: int, space: QuadraticSpace) -> Tuple[int, int]:
@@ -277,7 +287,8 @@ def _mul_arrays(a: Dict[int, complex], b: Dict[int, complex],
     na, nb = len(a), len(b)
     masks_a = np.fromiter(a, np.int64, na)[:, None]
     masks_b = np.fromiter(b, np.int64, nb)
-    signs_b = np.fromiter((blade_sign_mask(m, space) for m in b), np.int64, nb)
+    # blade_sign_mask of every m of b
+    signs_b = _reorder_masks(masks_b) ^ (masks_b & space.negative_mask)
     ca = np.fromiter(a.values(), complex, na)[:, None]
     cb = np.fromiter(b.values(), complex, nb)
     sums = np.full(1 << space.dim, complex(-0.0, -0.0))

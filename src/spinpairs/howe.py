@@ -41,9 +41,9 @@ The three degree-2 generator theorems for exterior invariants of GL, O and
 Sp are verified separately on standalone tensor models at small rank, with
 the invariant dimensions as the oracle.  Each degree's generated wedges are
 gated into the span of that degree's invariant basis and ranked in its
-coordinates.  Derivations are built on the kept blades and wedges applied to
-coordinate rows, as arrays over the blade masks of a degree, their signs from
-``clifford.reorder_signs``.
+coordinates.  Derivations are built on the kept blades, every entry in one
+pass, and wedges applied to coordinate rows, as arrays over the blade masks
+of a degree, their signs from ``clifford.reorder_signs`` on arrays of both.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import (ExteriorElement, QuadraticSpace, chevalley_T, complex_space, grade,
+from .clifford import (CliffordElement, ExteriorElement, QuadraticSpace, complex_space, grade,
                        reorder_signs)
 from .families import gl_real_basis, reflection, so_pq_basis, sp_2n_basis
 from .groups import ComplexifiedPair, DimensionCapError, DualPairSpec, complexify
@@ -149,14 +149,18 @@ def joint_nullspace(constraints: Iterable[np.ndarray], dim: int) -> np.ndarray:
 
     Restricting each constraint to the running nullspace keeps every SVD at
     the current kernel width instead of stacking all constraints at once.
-    Constraints are drawn one at a time, and none once the kernel is empty.
+    Each SVD sees only the rows the constraint reaches, first of its own and
+    then on the running kernel: zero rows change no singular value or right
+    singular vector.  Constraints are drawn one at a time, and none once the
+    kernel is empty.
     """
-    basis = None
+    basis = np.eye(dim, dtype=complex)
     for M in constraints:
-        basis = nullspace(M) if basis is None else nullspace(M @ basis.T) @ basis
+        M = M[M.any(axis=1)] @ basis.T
+        basis = nullspace(M[M.any(axis=1)]) @ basis
         if basis.shape[0] == 0:
             break
-    return np.eye(dim, dtype=complex) if basis is None else basis
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +181,12 @@ def _positions(masks: np.ndarray, of: np.ndarray) -> np.ndarray:
 def exterior_derivation_matrix(X: np.ndarray, d: int, cells: np.ndarray) -> np.ndarray:
     """Columns `cells` of the matrix of the derivation extension of X on degree-d wedges.
 
-    Each nonzero X[i, j] moves the blades S holding j and not i to S - j + i,
-    all at once; for i = j the same rule keeps each blade holding j in place
-    with sign 1, so X[j, j] scales it.  S -> S - j + i is one to one, so an
-    entry adds at most once to each cell, and each cell sums its entries in
-    argwhere order.  Independent of exterior_blade_images, so that it
-    cross-checks the group action.
+    Every nonzero X[i, j] moves the blades S holding j and not i to S - j + i,
+    all entries against all columns in one vector pass; for i = j the same
+    rule keeps each blade holding j in place with sign 1, so X[j, j] scales
+    it.  One np.add.at adds in (entry, column) order, so each cell sums its
+    entries in argwhere order.  Independent of exterior_blade_images, so that
+    it cross-checks the group action.
     """
     X = np.asarray(X, dtype=complex)
     N = X.shape[0]
@@ -190,13 +194,14 @@ def exterior_derivation_matrix(X: np.ndarray, d: int, cells: np.ndarray) -> np.n
         raise ValueError(f"a {X.shape} matrix is not an endomorphism")
     masks = np.array(blades_of_degree(N, d), dtype=np.int64)
     src = masks[cells]
+    i, j = np.argwhere(X).T
+    e, col = np.nonzero(src & (1 << i[:, None] | 1 << j[:, None]) == 1 << j[:, None])
+    bi, bj = 1 << i[e], 1 << j[e]
+    rest = src[col] ^ bj
+    # the (-1)^|rest| factors of the two reorderings cancel
+    sign = reorder_signs(rest, bj) * reorder_signs(rest, bi)
     M = np.zeros((len(masks), len(src)), dtype=complex)
-    for i, j in np.argwhere(X).tolist():
-        col = np.flatnonzero(src & (1 << i | 1 << j) == 1 << j)
-        rest = src[col] ^ (1 << j)
-        # the (-1)^|rest| factors of the two reorderings cancel
-        sign = reorder_signs(rest, 1 << j) * reorder_signs(rest, 1 << i)
-        M[_positions(masks, rest | (1 << i)), col] += sign * X[i, j]
+    np.add.at(M, (_positions(masks, rest | bi), col), sign * X[i[e], j[e]])
     return M
 
 
@@ -214,15 +219,6 @@ class InvariantSpace:
     @property
     def dims(self) -> Dict[int, int]:
         return {d: b.shape[0] for d, b in self.degree_bases.items()}
-
-    def elements(self) -> List[ExteriorElement]:
-        out = []
-        for d in sorted(self.degree_bases):
-            blades = blades_of_degree(self.space.dim, d)
-            for row in self.degree_bases[d]:
-                out.append(ExteriorElement(
-                    self.space, {m: row[i] for i, m in enumerate(blades)}))
-        return out
 
 
 def invariant_space(space_c: QuadraticSpace, lie: Sequence[np.ndarray],
@@ -429,14 +425,22 @@ def verify_generation(model) -> Dict[int, Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def transfer_invariants(inv: InvariantSpace, sp: SpinorSpace) -> List[np.ndarray]:
-    """Image of the invariant wedges in End(S) under the Chevalley map.
+    """Image of the invariant wedges in End(S) under the Chevalley map, degree by degree.
 
     On distinguished-basis blades the Chevalley map is coordinatewise, so
-    each invariant vector transports to gamma~ of the same blade combination.
+    each invariant vector transports to the same combination of the blade
+    images gamma~(e_S), each built once, over the blades S its degree's
+    basis reaches.
     """
     if inv.space != sp.space:
         raise ValueError("invariants and spinors live over different spaces")
-    return [gamma_tilde(sp, chevalley_T(w)) for w in inv.elements()]
+    out: List[np.ndarray] = []
+    for d, K in sorted(inv.degree_bases.items()):
+        blades = blades_of_degree(sp.space.dim, d)
+        cols = np.flatnonzero(K.any(axis=0))
+        G = [gamma_tilde(sp, CliffordElement(sp.space, {blades[c]: 1})) for c in cols]
+        out += list(np.tensordot(K[:, cols], np.reshape(G, (-1, sp.dim_s, sp.dim_s)), axes=1))
+    return out
 
 
 def commutant(ops: Sequence[np.ndarray], dim: int,

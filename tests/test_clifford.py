@@ -16,7 +16,7 @@ from spinpairs.clifford import (MAX_DIM, CliffordElement, ExteriorElement,
                                 chevalley_T_vectors, complex_space, complexify_element,
                                 exterior_apply_map, exterior_vector, from_vector,
                                 real_space, reorder_sign, reorder_signs,
-                                scalar_element)
+                                scalar_element, _reorder_masks)
 
 
 def random_exact_element(rng, space, nterms=4):
@@ -104,14 +104,28 @@ def test_blade_kernel_matches_bubble_sort_oracle(case):
 
 def test_array_reorder_signs_match_reorder_sign():
     small = np.arange(1 << 8)
+    # b one int, and b an array broadcast against a
+    grid = reorder_signs(small[:, None], small)
     for b in range(1 << 8):
-        assert reorder_signs(small, b).tolist() == [reorder_sign(a, b) for a in range(1 << 8)], b
+        want = [reorder_sign(a, b) for a in range(1 << 8)]
+        assert reorder_signs(small, b).tolist() == grid[:, b].tolist() == want, b
     # masks on bit MAX_DIM - 1, where _reorder_mask's negative masks reach the int64 sign bit
     rng = np.random.default_rng(61)
     top = 1 << (MAX_DIM - 1)
     wide = [int(m) | top * int(k) for m, k in zip(rng.integers(0, top, 64), rng.integers(0, 2, 64))]
     for b in wide[:32] + [top, top | 1]:
         assert reorder_signs(np.array(wide), b).tolist() == [reorder_sign(a, b) for a in wide], b
+
+
+def test_array_sign_masks_match_blade_sign_mask():
+    # the array K(b) of the array product, on masks using bit MAX_DIM - 1
+    rng = np.random.default_rng(62)
+    space = QuadraticSpace("real", tuple(int(n) for n in rng.choice((1, -1), MAX_DIM)))
+    top = 1 << (MAX_DIM - 1)
+    b = rng.integers(0, top, 256) | top * rng.integers(0, 2, 256)
+    got = _reorder_masks(b) ^ (b & space.negative_mask)
+    low = (1 << MAX_DIM) - 1
+    assert [int(k) & low for k in got] == [blade_sign_mask(int(m), space) & low for m in b]
 
 
 def dense_element(rng, space, nterms, real=False):

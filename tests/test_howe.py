@@ -11,7 +11,7 @@ import pytest
 import spinpairs
 from spinpairs import howe
 from spinpairs.cli import load_expected_table
-from spinpairs.clifford import (ExteriorElement, _mask_indices, complex_space,
+from spinpairs.clifford import (ExteriorElement, _mask_indices, chevalley_T, complex_space,
                                 exterior_blade_images, exterior_vector, reorder_sign)
 from spinpairs.families import (FAMILIES, PAIR_PARAM_FAMILIES, ambient_signature, build_pair,
                                 normalize_params)
@@ -22,7 +22,8 @@ from spinpairs.howe import (DimensionCapError, GLModel, OModel, SpModel, blades_
                             nullspace, orthonormal_rows, side_operators,
                             subspace_equal, transfer_invariants, verify_generation, wedge_rows)
 from spinpairs.pin import lift
-from spinpairs.spinor import build_spinors, pi_rep
+from spinpairs.spinor import build_spinors, gamma_tilde, pi_rep
+from test_acceptance import TRANSFER_FAMILIES as CRITERION_7_FAMILIES
 from test_groups import random_element
 
 RNG = np.random.default_rng(314)
@@ -701,7 +702,7 @@ def test_weight_cut_invariants_match_the_all_blade_solve(name, monkeypatch):
         return derivation(X, d, cells)
 
     def nullspace_spy(A):
-        solved.append(np.shape(A))
+        solved.append(np.asarray(A))
         return solve(A)
 
     monkeypatch.setattr(howe, "exterior_derivation_matrix", spy)
@@ -709,6 +710,8 @@ def test_weight_cut_invariants_match_the_all_blade_solve(name, monkeypatch):
     inv = invariant_space(space, lie, comps)
     # every SVD is a derivation's: no component builds a matrix or takes an SVD
     assert len(solved) == len(built)
+    # and sees only the rows its derivation reaches
+    assert all(A.any(axis=1).all() for A in solved)
     for d, K in inv.degree_bases.items():
         assert K.shape == oracle[d].shape, d
         assert np.allclose(K @ K.conj().T, np.eye(len(K)), atol=1e-12)
@@ -833,6 +836,45 @@ TRANSFER_PAIRS = [
     ("GL_H", (1, 1)), ("Sp_C_real", (1, 1)), ("GL_C_complex", (1, 1)),
     ("Sp_C", (1, 1)),
 ]
+
+
+def _element_transfer(inv, spn):
+    # oracle: each invariant vector as one exterior element, sent through gamma~ of chevalley_T
+    out = []
+    for d, K in sorted(inv.degree_bases.items()):
+        blades = blades_of_degree(inv.space.dim, d)
+        for row in K:
+            w = ExteriorElement(inv.space, {m: row[i] for i, m in enumerate(blades)})
+            out.append(gamma_tilde(spn, chevalley_T(w)))
+    return out
+
+
+def test_transfer_matches_the_per_element_oracle(monkeypatch):
+    calls, image = [], howe.gamma_tilde
+
+    def spy(sp, x):
+        calls.append(list(x.terms))
+        return image(sp, x)
+
+    monkeypatch.setattr(howe, "gamma_tilde", spy)
+    empty = 0
+    for family, params in CRITERION_7_FAMILIES:
+        spec = build_pair(family, params)
+        cpx = complexify(spec)
+        spn = build_spinors(cpx.space_c)
+        for side in ("G", "Gp"):
+            inv = invariants(spec, side, cpx)
+            calls.clear()
+            ops = transfer_invariants(inv, spn)
+            want = _element_transfer(inv, spn)
+            assert len(ops) == len(want) == sum(inv.dims.values())
+            assert all(np.allclose(o, w, rtol=0, atol=1e-12) for o, w in zip(ops, want))
+            # one blade image per blade a degree's basis reaches, in degree order
+            reached = [[m] for d, K in sorted(inv.degree_bases.items())
+                       for m, hit in zip(blades_of_degree(inv.space.dim, d), K.any(axis=0)) if hit]
+            assert calls == reached, (family, params, side)
+            empty += 0 in inv.dims.values()
+    assert empty  # a side with an empty degree
 
 
 @pytest.mark.parametrize("family,params", TRANSFER_PAIRS)
